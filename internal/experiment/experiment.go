@@ -9,7 +9,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -655,55 +654,34 @@ func RunContext(ctx context.Context, s Scenario) (Result, error) {
 
 	backends := envpool.From(ctx)
 	key := s.backendKey()
-	type machineLease struct {
-		key      envpool.MachineKey
-		machines []*hw.Machine
-	}
-	var (
-		leaseMu        sync.Mutex
-		leased         []services.Backend
-		leasedMachines []machineLease
-	)
-	defer func() {
-		if backends == nil {
-			return
-		}
-		leaseMu.Lock()
-		defer leaseMu.Unlock()
-		for _, b := range leased {
-			backends.Release(key, b)
-		}
-		for _, ml := range leasedMachines {
-			backends.ReleaseMachines(ml.key, ml.machines)
-		}
-	}()
 
 	// Each worker owns one generator for all the repetitions it executes,
 	// so the generator's persistent simulation engine and request free
 	// list are reused run over run: after the worker's first repetition,
 	// steady-state simulation allocates nothing. Reuse is invisible to
 	// results (the engine resets fully; pooled requests are zeroed), which
-	// the byte-identical-for-every-worker-count tests pin.
-	newWorker := func(int) (*loadgen.Generator, error) {
-		var backend services.Backend
-		var err error
-		if backends != nil {
-			backend, err = backends.Lease(key, s.buildBackend)
-		} else {
-			backend, err = s.buildBackend()
+	// the byte-identical-for-every-worker-count tests pin. Under a pool a
+	// worker returns its leases when it exits, so a scenario holds no more
+	// backends than it has live workers, and those are bounded by the
+	// budget's tokens.
+	type worker struct {
+		gen     *loadgen.Generator
+		release func() // returns the worker's leases; nil without a pool
+	}
+	newWorker := func(int) (worker, error) {
+		if backends == nil {
+			backend, err := s.buildBackend()
+			if err != nil {
+				return worker{}, err
+			}
+			gen, err := loadgen.New(s.generatorConfig(backend, warmup), backend)
+			return worker{gen: gen}, err
 		}
+		backend, err := backends.Lease(key, s.buildBackend)
 		if err != nil {
-			return nil, err
-		}
-		if backends != nil {
-			leaseMu.Lock()
-			leased = append(leased, backend)
-			leaseMu.Unlock()
+			return worker{}, err
 		}
 		genCfg := s.generatorConfig(backend, warmup)
-		if backends == nil {
-			return loadgen.New(genCfg, backend)
-		}
 		// Lease the worker's client machines alongside its backend:
 		// scenarios sharing a client configuration reuse machine sets
 		// instead of rebuilding them per sweep cell. Machines are fully
@@ -714,12 +692,24 @@ func RunContext(ctx context.Context, s Scenario) (Result, error) {
 			return loadgen.BuildMachines(genCfg)
 		})
 		if err != nil {
-			return nil, err
+			backends.Release(key, backend)
+			return worker{}, err
 		}
-		leaseMu.Lock()
-		leasedMachines = append(leasedMachines, machineLease{key: mkey, machines: machines})
-		leaseMu.Unlock()
-		return loadgen.NewWithMachines(genCfg, backend, machines)
+		release := func() {
+			backends.Release(key, backend)
+			backends.ReleaseMachines(mkey, machines)
+		}
+		gen, err := loadgen.NewWithMachines(genCfg, backend, machines)
+		if err != nil {
+			release()
+			return worker{}, err
+		}
+		return worker{gen: gen, release: release}, nil
+	}
+	closeWorker := func(w worker) {
+		if w.release != nil {
+			w.release()
+		}
 	}
 
 	workers := sched.Resolve(s.Workers)
@@ -736,8 +726,9 @@ func RunContext(ctx context.Context, s Scenario) (Result, error) {
 		}
 	}
 	pool := sched.Pool{Workers: workers}
-	runs, err := sched.MapWorkers(ctx, pool, s.Runs, newWorker,
-		func(_ context.Context, gen *loadgen.Generator, run int) (RunMetrics, error) {
+	runs, err := sched.MapWorkers(ctx, pool, s.Runs, newWorker, closeWorker,
+		func(_ context.Context, w worker, run int) (RunMetrics, error) {
+			gen := w.gen
 			stream := rng.NewLabeled(s.Seed, fmt.Sprintf("%s/%s/%.0f/run%d", s.Service, s.Label, s.RateQPS, run))
 			rr, err := gen.RunOnce(stream, total)
 			if err != nil {

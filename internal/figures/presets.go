@@ -317,7 +317,7 @@ func RunPreset(p Preset, opts SweepOptions) (*PresetResult, error) {
 	envCtx, width := opts.envContext()
 	pool := sched.Pool{Workers: width}
 	results, err := sched.MapWorkers(envCtx, pool, len(p.Rates),
-		func(int) (struct{}, error) { return struct{}{}, nil },
+		func(int) (struct{}, error) { return struct{}{}, nil }, nil,
 		func(ctx context.Context, _ struct{}, i int) (experiment.Result, error) {
 			res, err := experiment.RunContext(ctx, presetScenario(p, p.Rates[i], opts))
 			if err != nil {

@@ -171,7 +171,7 @@ func RunServiceSweep(service experiment.Service, variants []experiment.ServerVar
 	envCtx, width := opts.envContext()
 	pool := sched.Pool{Workers: width}
 	results, err := sched.MapWorkers(envCtx, pool, len(cells),
-		func(int) (struct{}, error) { return struct{}{}, nil },
+		func(int) (struct{}, error) { return struct{}{}, nil }, nil,
 		func(ctx context.Context, _ struct{}, i int) (experiment.Result, error) {
 			c := cells[i]
 			res, err := experiment.RunContext(ctx, experiment.Scenario{
@@ -277,7 +277,7 @@ func RunSyntheticStudy(opts SweepOptions) (*SyntheticSweep, error) {
 	envCtx, width := opts.envContext()
 	pool := sched.Pool{Workers: width}
 	results, err := sched.MapWorkers(envCtx, pool, len(cells),
-		func(int) (struct{}, error) { return struct{}{}, nil },
+		func(int) (struct{}, error) { return struct{}{}, nil }, nil,
 		func(ctx context.Context, _ struct{}, i int) (experiment.Result, error) {
 			c := cells[i]
 			res, err := experiment.RunContext(ctx, experiment.Scenario{

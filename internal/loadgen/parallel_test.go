@@ -26,7 +26,7 @@ func TestConcurrentRunOnceViaPool(t *testing.T) {
 		res, err := sched.MapWorkers(context.Background(), sched.Pool{Workers: workers}, runs,
 			func(int) (*Generator, error) {
 				return syntheticGen(t, hw.LPConfig(), 10_000, true), nil
-			},
+			}, nil,
 			func(_ context.Context, gen *Generator, run int) ([]float64, error) {
 				rr, err := gen.RunOnce(rng.NewLabeled(21, "race-run"+string(rune('0'+run))), duration)
 				if err != nil {

@@ -13,6 +13,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // splitmix64 advances a 64-bit state and returns a well-mixed output. It is
@@ -239,18 +240,56 @@ func (s *Stream) Poisson(mean float64) int {
 }
 
 // Zipf draws ranks in [0, n) following a Zipf distribution with exponent
-// alpha > 0 (rank 0 most popular). It precomputes the CDF once, so repeated
-// draws are O(log n).
+// alpha > 0 (rank 0 most popular). The rank table behind it is shared: it is
+// built once per distinct (n, alpha) and kept, immutable, for the life of the
+// process, so every sampler over the same ranks reads the same memory. A
+// Zipf holds only that table and its caller's stream; draws are O(1)
+// expected through the table's guide.
 type Zipf struct {
-	cdf []float64
-	s   *Stream
+	t *zipfTable
+	s *Stream
 }
 
-// NewZipf builds a Zipf sampler over n ranks with exponent alpha.
+// zipfTable is the immutable rank table of one (n, alpha). cdf[i] is the
+// probability of a rank ≤ i. guide[j], for j in [0, len(cdf)], is the
+// smallest i with cdf[i] >= j/len(cdf), so a uniform u falls in bucket
+// j = ⌊u·len(cdf)⌋ and its rank is near [guide[j], guide[j+1]].
+type zipfTable struct {
+	cdf   []float64
+	guide []int32
+}
+
+type zipfKey struct {
+	n     int
+	alpha uint64 // math.Float64bits of the exponent
+}
+
+// The process-wide table cache. Building is deterministic, so every
+// caller of one key agrees on the contents whichever builds it.
+var (
+	zipfMu     sync.Mutex
+	zipfTables = map[zipfKey]*zipfTable{}
+)
+
+// NewZipf returns a Zipf sampler over n ranks with exponent alpha that draws
+// from s. The first call for a given (n, alpha) builds the shared table;
+// later calls reuse it and allocate only the sampler.
 func NewZipf(s *Stream, n int, alpha float64) *Zipf {
-	if n <= 0 {
-		panic("rng: Zipf with non-positive n")
+	if n <= 0 || n > math.MaxInt32 {
+		panic("rng: Zipf with n outside [1, MaxInt32]")
 	}
+	key := zipfKey{n: n, alpha: math.Float64bits(alpha)}
+	zipfMu.Lock()
+	t := zipfTables[key]
+	if t == nil {
+		t = newZipfTable(n, alpha)
+		zipfTables[key] = t
+	}
+	zipfMu.Unlock()
+	return &Zipf{t: t, s: s}
+}
+
+func newZipfTable(n int, alpha float64) *zipfTable {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
@@ -260,16 +299,52 @@ func NewZipf(s *Stream, n int, alpha float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, s: s}
+	return newGuidedTable(cdf)
+}
+
+// newGuidedTable wraps a non-decreasing CDF that ends at 1 with its guide.
+func newGuidedTable(cdf []float64) *zipfTable {
+	n := len(cdf)
+	guide := make([]int32, n+1)
+	i := 0
+	for j := range guide {
+		edge := float64(j) / float64(n)
+		for i < n-1 && cdf[i] < edge {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return &zipfTable{cdf: cdf, guide: guide}
 }
 
 // Draw returns the next rank.
 func (z *Zipf) Draw() int {
-	u := z.s.Float64()
-	lo, hi := 0, len(z.cdf)-1
+	return z.t.rank(z.s.Float64())
+}
+
+// rank returns the smallest i with cdf[i] >= u, or the last rank if there is
+// none: the rank a lower-bound search over the whole CDF returns. The guide
+// bounds the search to u's bucket; the two loops widen that range until
+// cdf[lo-1] < u <= cdf[hi] (or hi is the last rank). Rounding in u·n and in
+// the bucket edges can otherwise put u a rank outside its bucket, as can a
+// u above 1 when the CDF reaches 1 before the last rank. The search inside
+// the range then finds the same rank the full search would.
+func (t *zipfTable) rank(u float64) int {
+	last := len(t.cdf) - 1
+	j := int(u * float64(len(t.cdf)))
+	if j > last {
+		j = last
+	}
+	lo, hi := int(t.guide[j]), int(t.guide[j+1])
+	for lo > 0 && t.cdf[lo-1] >= u {
+		lo--
+	}
+	for hi < last && t.cdf[hi] < u {
+		hi++
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
+		if t.cdf[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid

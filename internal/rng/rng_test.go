@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -330,11 +331,44 @@ func BenchmarkExp(b *testing.B) {
 }
 
 func BenchmarkZipfDraw(b *testing.B) {
-	s := New(1)
-	z := NewZipf(s, 1<<20, 0.99)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z.Draw()
+	// 100000 is the ETC key count the Memcached runs draw from.
+	for _, n := range []int{100000, 1 << 20} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			z := NewZipf(New(1), n, 0.99)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkRank = z.Draw()
+			}
+		})
 	}
+}
+
+var (
+	sinkRank int
+	sinkZipf *Zipf
+)
+
+// BenchmarkNewZipf times a first call, which builds the shared table, and
+// a cached call, which only looks it up.
+func BenchmarkNewZipf(b *testing.B) {
+	const n, alpha = 100000, 0.99
+	s := New(1)
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			zipfMu.Lock()
+			delete(zipfTables, zipfKey{n: n, alpha: math.Float64bits(alpha)})
+			zipfMu.Unlock()
+			sinkZipf = NewZipf(s, n, alpha)
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		NewZipf(s, n, alpha)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkZipf = NewZipf(s, n, alpha)
+		}
+	})
 }

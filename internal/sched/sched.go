@@ -114,7 +114,7 @@ func (p Pool) Run(ctx context.Context, n int, fn func(ctx context.Context, i int
 // sequential loop.
 func Map[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	return MapWorkers(ctx, p, n,
-		func(int) (struct{}, error) { return struct{}{}, nil },
+		func(int) (struct{}, error) { return struct{}{}, nil }, nil,
 		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) },
 		nil)
 }
@@ -123,7 +123,11 @@ func Map[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context,
 // private state once (lazily, before its first job) with newWorker and
 // passes it to every job it executes. Use it when jobs need an expensive
 // reusable environment — a preloaded backend, a generator with its client
-// machines — that is not safe to share across goroutines.
+// machines — that is not safe to share across goroutines. If closeWorker
+// is non-nil it is called with that state when its worker finds no job
+// left to claim (or stops on failure or cancellation), before the worker
+// gives back its Budget token, so a worker's resources are held no longer
+// than its token.
 //
 // If emit is non-nil it is called as (i, result) in strict job order as
 // completed prefixes become available; emissions stop before the first
@@ -135,7 +139,7 @@ func Map[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context,
 // from newWorker — the per-run labeled-stream discipline used throughout
 // this repository.
 func MapWorkers[W, T any](ctx context.Context, p Pool, n int,
-	newWorker func(worker int) (W, error),
+	newWorker func(worker int) (W, error), closeWorker func(st W),
 	fn func(ctx context.Context, st W, i int) (T, error),
 	emit func(i int, v T)) ([]T, error) {
 
@@ -223,6 +227,10 @@ func MapWorkers[W, T any](ctx context.Context, p Pool, n int,
 						return
 					}
 					created = true
+					if closeWorker != nil {
+						// Runs before the deferred token release.
+						defer closeWorker(st)
+					}
 				}
 				v, err := fn(jobCtx, st, i)
 				if err != nil {

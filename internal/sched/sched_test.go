@@ -47,7 +47,7 @@ func TestEmitFiresInOrder(t *testing.T) {
 	var mu sync.Mutex
 	var emitted []int
 	_, err := MapWorkers(context.Background(), Pool{Workers: 8}, 64,
-		func(int) (struct{}, error) { return struct{}{}, nil },
+		func(int) (struct{}, error) { return struct{}{}, nil }, nil,
 		func(_ context.Context, _ struct{}, i int) (int, error) {
 			// Make early jobs slow so late jobs complete first.
 			if i < 8 {
@@ -141,7 +141,7 @@ func TestParentCancellation(t *testing.T) {
 }
 
 func TestWorkerStateIsPrivateAndReused(t *testing.T) {
-	type state struct{ id, jobs int }
+	type state struct{ id, jobs, closes int }
 	var created atomic.Int64
 	const workers, jobs = 4, 200
 	sts := make([]*state, 0, workers)
@@ -155,7 +155,11 @@ func TestWorkerStateIsPrivateAndReused(t *testing.T) {
 			mu.Unlock()
 			return st, nil
 		},
+		func(st *state) { st.closes++ },
 		func(_ context.Context, st *state, i int) (int, error) {
+			if st.closes != 0 {
+				t.Error("job ran on a closed worker state")
+			}
 			st.jobs++ // would race if state were shared between workers
 			return i, nil
 		}, nil)
@@ -169,6 +173,9 @@ func TestWorkerStateIsPrivateAndReused(t *testing.T) {
 	mu.Lock()
 	for _, st := range sts {
 		total += st.jobs
+		if st.closes != 1 {
+			t.Errorf("worker %d state closed %d times, want once", st.id, st.closes)
+		}
 	}
 	mu.Unlock()
 	if total != jobs {
@@ -179,7 +186,7 @@ func TestWorkerStateIsPrivateAndReused(t *testing.T) {
 func TestWorkerInitFailure(t *testing.T) {
 	wantErr := errors.New("no backend")
 	_, err := MapWorkers(context.Background(), Pool{Workers: 3}, 10,
-		func(int) (struct{}, error) { return struct{}{}, wantErr },
+		func(int) (struct{}, error) { return struct{}{}, wantErr }, nil,
 		func(_ context.Context, _ struct{}, i int) (int, error) { return i, nil }, nil)
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want wrapped %v", err, wantErr)
@@ -236,7 +243,7 @@ func TestRaceStress(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		var emitSum atomic.Int64
 		got, err := MapWorkers(context.Background(), Pool{Workers: 8}, 500,
-			func(w int) (*int, error) { v := 0; return &v, nil },
+			func(w int) (*int, error) { v := 0; return &v, nil }, nil,
 			func(_ context.Context, scratch *int, i int) (int, error) {
 				*scratch += i
 				return i, nil

@@ -67,11 +67,11 @@ func (c ETCConfig) Validate() error {
 	if c.Keys < 1 {
 		return fmt.Errorf("workload: key space must be ≥1, got %d", c.Keys)
 	}
-	if c.GetRatio < 0 || c.GetRatio > 1 {
+	if c.GetRatio < 0 || c.GetRatio > 1 || math.IsNaN(c.GetRatio) {
 		return fmt.Errorf("workload: GET ratio %v outside [0,1]", c.GetRatio)
 	}
-	if c.ZipfAlpha <= 0 {
-		return fmt.Errorf("workload: Zipf alpha must be positive, got %v", c.ZipfAlpha)
+	if c.ZipfAlpha <= 0 || math.IsNaN(c.ZipfAlpha) || math.IsInf(c.ZipfAlpha, 0) {
+		return fmt.Errorf("workload: Zipf alpha must be positive and finite, got %v", c.ZipfAlpha)
 	}
 	return nil
 }

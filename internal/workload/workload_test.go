@@ -133,10 +133,17 @@ func TestETCConfigValidation(t *testing.T) {
 	if _, err := NewETC(bad, rng.New(1)); err == nil {
 		t.Error("GET ratio >1 accepted")
 	}
+	for _, alpha := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = DefaultETCConfig()
+		bad.ZipfAlpha = alpha
+		if _, err := NewETC(bad, rng.New(1)); err == nil {
+			t.Errorf("alpha %v accepted", alpha)
+		}
+	}
 	bad = DefaultETCConfig()
-	bad.ZipfAlpha = 0
+	bad.GetRatio = math.NaN()
 	if _, err := NewETC(bad, rng.New(1)); err == nil {
-		t.Error("zero alpha accepted")
+		t.Error("NaN GET ratio accepted")
 	}
 }
 
