@@ -54,8 +54,10 @@ bench-diff:
 # thousand samples — so CI proves the preset paths end to end on every commit
 # without paying the full-size minutes. Full size is simply the same
 # commands without the -runs/-samples overrides. The -spec lines do the
-# same for the declarative workload-spec front door: a preset
-# re-expressed as a spec and a phase-program spec, through both CLIs.
+# same for the declarative workload-spec front door: the presets' own
+# spec files and a phase-program spec, through both CLIs. The last two
+# lines assert that bad invocations fail (non-zero exit) before any
+# simulation starts.
 smoke-presets:
 	$(GO) run ./cmd/repro -experiment million-qps -runs 1 -samples 2000
 	$(GO) run ./cmd/repro -experiment cluster -runs 1 -samples 2000
@@ -70,8 +72,11 @@ smoke-presets:
 	$(GO) run ./cmd/labsim -preset sharded -runs 1 -samples 2000
 	$(GO) run ./cmd/labsim -preset cluster -runs 1 -samples 2000
 	$(GO) run ./cmd/labsim -preset faulty-cluster -runs 1 -samples 2000
+	$(GO) run ./cmd/labsim -preset hour-long -runs 1 -samples 2000
 	$(GO) run ./cmd/labsim -spec examples/onoff-sessions.yaml -runs 1 -samples 2000
 	$(GO) run ./cmd/labsim -spec examples/straggler.yaml -runs 1 -samples 2000
+	! $(GO) run ./cmd/repro -runs -1
+	! $(GO) run ./cmd/labsim -replicas 2 -router random
 
 # profile captures CPU and allocation profiles of a reference sweep: the
 # request-path benchmark, which exercises the whole hot path (engine event

@@ -31,7 +31,7 @@
 // resilience.
 //
 // -preset loads a large-scale scenario (million-qps, cluster, sharded,
-// faulty-cluster, hour-long)
+// faulty-cluster, hour-long; each is the spec file examples/NAME.yaml)
 // as the flag defaults: service, client, server, rate, run count,
 // sample target and replica shape come from the preset (million-qps
 // uses its peak rate), and any flag set explicitly on the command line
@@ -55,8 +55,9 @@
 //
 //	labsim -spec examples/onoff-sessions.yaml -runs 2 -samples 2000
 //
-// All flag combinations — including an unknown router or -router
-// without -replicas — are validated before any simulation starts.
+// All flag combinations — including an unknown router, -router without
+// -replicas, or a negative -runs or -samples — are validated before any
+// simulation starts, by the checks repro shares (package internal/cli).
 package main
 
 import (
@@ -65,206 +66,36 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/envpool"
 	"repro/internal/experiment"
-	"repro/internal/faults"
 	"repro/internal/figures"
 	"repro/internal/hw"
-	"repro/internal/loadgen"
 	"repro/internal/metrics"
-	"repro/internal/spec"
 	"repro/internal/stats"
 )
 
-func main() {
-	var (
-		preset     = flag.String("preset", "", "load a scale preset's defaults: million-qps|cluster|sharded|faulty-cluster|hour-long (explicit flags still win)")
-		specPath   = flag.String("spec", "", "run a workload spec file (YAML or JSON); conflicts with -preset and the scenario-shape flags")
-		service    = flag.String("service", "memcached", "memcached|hdsearch|socialnet|synthetic")
-		rate       = flag.Float64("rate", 100_000, "offered load in QPS")
-		clientName = flag.String("client", "LP", "client preset: LP or HP")
-		maxCState  = flag.String("client-max-cstate", "", "override client deepest C-state (C0,C1,C1E,C6)")
-		governor   = flag.String("client-governor", "", "override client governor (powersave|performance)")
-		turbo      = flag.Bool("client-turbo", true, "client turbo mode")
-		serverSMT  = flag.Bool("server-smt", false, "enable SMT on the server")
-		serverC1E  = flag.Bool("server-c1e", false, "enable C1E on the server")
-		delay      = flag.Duration("delay", 0, "synthetic service added busy-wait")
-		point      = flag.String("point", "in-app", "measurement point: in-app|kernel-socket|nic")
-		runs       = flag.Int("runs", 10, "repetitions")
-		samples    = flag.Int("samples", 0, "post-warmup samples per run (0 = default)")
-		seed       = flag.Uint64("seed", 1, "experiment seed")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent repetitions (results are identical for any value)")
-		sampleMode = flag.String("samplemode", "auto", "per-run sample reduction: auto|exact|streaming")
-		replicas   = flag.Int("replicas", 0, "run the backend as N replicas behind -router (0 = single backend)")
-		router     = flag.String("router", "", "replica routing policy: round-robin|least-outstanding|consistent-hash")
-		shards     = flag.Int("shards", 0, "partition each run across N simulation engines (0 = single engine; results identical for any value)")
-		timeout    = flag.Duration("timeout", 0, "per-request client timeout enabling the resilience stack (0 = preset default)")
-		retries    = flag.Int("retries", 0, "bounded retry budget per request; requires -timeout or a resilient preset (0 = preset default)")
-		hedge      = flag.Duration("hedge", 0, "hedged-request delay, must be below the timeout; requires -timeout or a resilient preset (0 = preset default)")
-	)
-	flag.Parse()
+// specOwnedFlags are the scenario-shape flags a workload spec defines
+// itself; setting one alongside -spec is a conflict, not an override.
+var specOwnedFlags = []string{
+	"preset", "service", "client", "client-max-cstate", "client-governor",
+	"client-turbo", "server-smt", "server-c1e", "delay", "replicas", "router",
+	"shards",
+}
 
+func main() {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "labsim:", err)
 		os.Exit(1)
 	}
-
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	var presetServer *hw.Config
-	var presetFaults *faults.Plan
-	var presetResilience *loadgen.ResilienceConfig
-	var presetHiccupRate float64
-	var presetHiccupMean time.Duration
-	if *preset != "" {
-		p, ok := figures.PresetByName(*preset)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "labsim: unknown preset %q; available:\n%s\n", *preset, figures.PresetUsage())
-			os.Exit(1)
-		}
-		// Preset values are defaults: a flag the user set explicitly wins.
-		if !set["service"] {
-			*service = string(p.Service)
-		}
-		if !set["client"] {
-			*clientName = p.ClientName
-		}
-		if !set["rate"] {
-			*rate = p.Rates[len(p.Rates)-1] // the preset's peak rate
-		}
-		if !set["runs"] {
-			*runs = p.Runs
-		}
-		if !set["samples"] {
-			*samples = p.TargetSamples
-		}
-		if !set["server-smt"] && !set["server-c1e"] {
-			presetServer = &p.Server
-		}
-		if !set["replicas"] {
-			*replicas = p.Replicas
-		}
-		if !set["router"] {
-			*router = p.Router
-		}
-		if !set["shards"] {
-			*shards = p.Shards
-		}
-		presetFaults = p.Faults
-		presetResilience = p.Resilience
-		presetHiccupRate, presetHiccupMean = p.HiccupRate, p.HiccupMean
-	}
-
-	if err := checkFlags(set, *specPath, *replicas, *router, *shards, *service); err != nil {
-		fail(err)
-	}
-	if w := shardWarning(*shards, *replicas); w != "" {
-		fmt.Fprintln(os.Stderr, "labsim:", w)
-	}
-
-	mode, err := metrics.ParseMode(*sampleMode)
+	sc, err := parse(os.Args[1:])
 	if err != nil {
 		fail(err)
 	}
-
-	var mp core.MeasurementPoint
-	switch *point {
-	case "in-app":
-		mp = core.InApp
-	case "kernel-socket":
-		mp = core.KernelSocket
-	case "nic":
-		mp = core.NICHardware
-	default:
-		fail(fmt.Errorf("unknown measurement point %q", *point))
-	}
-
-	var sc experiment.Scenario
-	if *specPath != "" {
-		s, err := spec.Load(*specPath)
-		if err != nil {
-			fail(err)
-		}
-		rates := s.SweepRates()
-		specRate := rates[len(rates)-1] // the spec's peak rate, like -preset
-		if set["rate"] {
-			specRate = *rate
-		}
-		sc = s.Scenario(specRate)
-		if set["runs"] {
-			sc.Runs = *runs
-		}
-		if set["samples"] {
-			// The smoke knob wins outright, as with presets: an explicit
-			// sample target also shrinks duration-sized specs.
-			sc.TargetSamples = *samples
-			sc.Duration = 0
-		}
-	} else {
-		client, err := clientConfig(*clientName, *maxCState, *governor, *turbo)
-		if err != nil {
-			fail(err)
-		}
-		server := hw.ServerBaselineConfig()
-		if presetServer != nil {
-			server = *presetServer
-		}
-		if *serverSMT {
-			server = server.WithSMT(true)
-		}
-		if *serverC1E {
-			server = server.WithMaxCState("C1E")
-		}
-		sc = experiment.Scenario{
-			Service:       experiment.Service(*service),
-			Label:         *clientName,
-			Client:        client,
-			Server:        server,
-			RateQPS:       *rate,
-			Runs:          *runs,
-			TargetSamples: *samples,
-			SynthDelay:    *delay,
-			Replicas:      *replicas,
-			Router:        *router,
-			Shards:        *shards,
-			Faults:        presetFaults,
-			Resilience:    presetResilience,
-			HiccupRate:    presetHiccupRate,
-			HiccupMean:    presetHiccupMean,
-		}
-	}
-	if err := checkResilienceFlags(*timeout, *retries, *hedge,
-		sc.Resilience != nil && sc.Resilience.Enabled()); err != nil {
-		fail(err)
-	}
-	if *timeout > 0 || *retries > 0 || *hedge > 0 {
-		res := loadgen.ResilienceConfig{}
-		if sc.Resilience != nil {
-			res = *sc.Resilience
-		}
-		if *timeout > 0 {
-			res.Timeout = *timeout
-		}
-		if *retries > 0 {
-			res.Retries = *retries
-		}
-		if *hedge > 0 {
-			res.Hedge = *hedge
-		}
-		sc.Resilience = &res
-	}
-	sc.Point = mp
-	sc.Seed = *seed
-	sc.Workers = *parallel
-	sc.SampleMode = mode
-
-	ctx := envpool.NewContext(context.Background(), *parallel)
+	ctx := envpool.NewContext(context.Background(), sc.Workers)
 	res, err := experiment.RunContext(ctx, sc)
 	if err != nil {
 		fail(err)
@@ -342,98 +173,107 @@ func main() {
 	}
 }
 
-// checkResilienceFlags validates the client-resilience knobs before any
-// simulation starts. resilient reports whether the scenario (preset or
-// spec) already carries a resilience timeout, which makes bare -retries
-// or -hedge meaningful overrides.
-func checkResilienceFlags(timeout time.Duration, retries int, hedge time.Duration, resilient bool) error {
-	if timeout < 0 {
-		return fmt.Errorf("-timeout must be ≥ 0, got %v", timeout)
-	}
-	if retries < 0 {
-		return fmt.Errorf("-retries must be ≥ 0, got %d", retries)
-	}
-	if hedge < 0 {
-		return fmt.Errorf("-hedge must be ≥ 0, got %v", hedge)
-	}
-	if (retries > 0 || hedge > 0) && timeout == 0 && !resilient {
-		return fmt.Errorf("-retries/-hedge require -timeout (or a preset/spec with a resilience timeout)")
-	}
-	if hedge > 0 && timeout > 0 && hedge >= timeout {
-		return fmt.Errorf("-hedge %v must be below the timeout %v", hedge, timeout)
-	}
-	return nil
-}
+// parse resolves a labsim command line into the scenario to run. The
+// base is the -spec file, the -preset, or none; explicitly set shape
+// flags override a preset's values (a spec owns its shape), and the
+// shared flags apply through figures.PresetScenario like every sweep.
+func parse(args []string) (experiment.Scenario, error) {
+	var f cli.Flags
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	preset := fs.String("preset", "", "load a scale preset's defaults: "+cli.PresetNames("|")+" (explicit flags still win)")
+	fs.StringVar(&f.Spec, "spec", "", "run a workload spec file (YAML or JSON); conflicts with -preset and the scenario-shape flags")
+	service := fs.String("service", "memcached", "memcached|hdsearch|socialnet|synthetic")
+	rate := fs.Float64("rate", 100_000, "offered load in QPS")
+	clientName := fs.String("client", "LP", "client preset: LP or HP")
+	maxCState := fs.String("client-max-cstate", "", "override client deepest C-state (C0,C1,C1E,C6)")
+	governor := fs.String("client-governor", "", "override client governor (powersave|performance)")
+	turbo := fs.Bool("client-turbo", true, "client turbo mode")
+	serverSMT := fs.Bool("server-smt", false, "enable SMT on the server")
+	serverC1E := fs.Bool("server-c1e", false, "enable C1E on the server")
+	delay := fs.Duration("delay", 0, "synthetic service added busy-wait")
+	point := fs.String("point", "in-app", "measurement point: in-app|kernel-socket|nic")
+	fs.IntVar(&f.Runs, "runs", 10, "repetitions")
+	fs.IntVar(&f.Samples, "samples", 0, "post-warmup samples per run (0 = default)")
+	seed := fs.Uint64("seed", 1, "experiment seed")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent repetitions (results are identical for any value)")
+	sampleMode := fs.String("samplemode", "auto", "per-run sample reduction: auto|exact|streaming")
+	f.Register(fs)
+	_ = fs.Parse(args) // ExitOnError: a bad command line exits here
+	f.Parsed(fs)
 
-// specOwnedFlags are the scenario-shape flags a workload spec defines
-// itself; setting one alongside -spec is a conflict, not an override.
-var specOwnedFlags = []string{
-	"preset", "service", "client", "client-max-cstate", "client-governor",
-	"client-turbo", "server-smt", "server-c1e", "delay", "replicas", "router",
-	"shards",
-}
+	var sc experiment.Scenario
+	base, err := cli.Base(f.Spec, *preset)
+	if err != nil {
+		return sc, err
+	}
+	if base == nil && *preset != "" {
+		return sc, fmt.Errorf("unknown preset %q; available:\n%s", *preset, figures.PresetUsage())
+	}
+	mode, err := metrics.ParseMode(*sampleMode)
+	if err != nil {
+		return sc, err
+	}
+	var mp core.MeasurementPoint
+	switch *point {
+	case "in-app":
+		mp = core.InApp
+	case "kernel-socket":
+		mp = core.KernelSocket
+	case "nic":
+		mp = core.NICHardware
+	default:
+		return sc, fmt.Errorf("unknown measurement point %q", *point)
+	}
 
-// checkFlags validates flag combinations before any simulation starts:
-// -spec against the spec-owned shape flags, and the router/replicas
-// pairing (after preset defaults resolved, so -preset cluster alone is
-// fine).
-func checkFlags(set map[string]bool, specPath string, replicas int, router string, shards int, service string) error {
-	if specPath != "" {
-		var conflicts []string
-		for _, name := range specOwnedFlags {
-			if set[name] {
-				conflicts = append(conflicts, "-"+name)
-			}
+	p, qps := figures.Preset{Server: hw.ServerBaselineConfig()}, *rate
+	if base != nil {
+		p = *base
+		if !f.Set["rate"] {
+			qps = p.Rates[len(p.Rates)-1] // the preset's or spec's peak rate
 		}
-		if len(conflicts) > 0 {
-			return fmt.Errorf("%s conflict with -spec (the spec owns the scenario shape; -rate -runs -samples -seed -parallel -samplemode -point still apply)",
-				strings.Join(conflicts, " "))
-		}
-		return nil
-	}
-	if replicas < 0 {
-		return fmt.Errorf("-replicas must be ≥ 0, got %d", replicas)
-	}
-	if router != "" {
-		if _, err := cluster.NewRouter(router); err != nil {
-			return err
-		}
-		if replicas <= 0 {
-			return fmt.Errorf("-router %s requires -replicas", router)
+		if !f.Set["runs"] {
+			f.Runs = 0 // the base's run count, not the flag default
 		}
 	}
-	if set["shards"] && shards < 1 {
-		return fmt.Errorf("-shards must be ≥ 1, got %d", shards)
+	if f.Spec == "" {
+		wins := func(name string) bool { return base == nil || f.Set[name] }
+		if wins("service") {
+			p.Service = experiment.Service(*service)
+		}
+		if wins("client") {
+			p.ClientName = *clientName
+		}
+		if wins("delay") {
+			p.SynthDelay = *delay
+		}
+		if *serverSMT {
+			p.Server = p.Server.WithSMT(true)
+		}
+		if *serverC1E {
+			p.Server = p.Server.WithMaxCState("C1E")
+		}
+		if p.Client, err = clientConfig(p.ClientName, *maxCState, *governor, *turbo); err != nil {
+			return sc, err
+		}
 	}
-	if shards > 1 {
-		// Mirror experiment.Scenario's per-service deployment: one client
-		// machine for hdsearch/socialnet, four for the mutilate-style
-		// services, plus one partition per replica.
-		machines := 4
-		if service == "hdsearch" || service == "socialnet" {
-			machines = 1
-		}
-		partitions := machines + 1
-		if replicas > 1 {
-			partitions = machines + replicas
-		}
-		if shards > partitions {
-			return fmt.Errorf("-shards %d exceeds the %d machine+replica partitions", shards, partitions)
-		}
+	if err := f.Check(&p, specOwnedFlags); err != nil {
+		return sc, err
 	}
-	return nil
-}
+	if w := f.ShardWarning(&p); w != "" {
+		fmt.Fprintln(os.Stderr, "labsim:", w)
+	}
 
-// shardWarning returns a one-line ergonomics warning when -shards > 1
-// runs a single-backend topology (replicas ≤ 1, after preset defaults
-// resolved): the partition layout pins all server work to the shard
-// that owns the backend, so conservative sync runs near its break-even
-// instead of speeding up. Warning only — results stay byte-identical.
-func shardWarning(shards, replicas int) string {
-	if shards <= 1 || replicas > 1 {
-		return ""
+	opts := f.Options()
+	opts.Seed, opts.SampleMode = *seed, mode
+	sc = figures.PresetScenario(p, qps, opts)
+	if f.Spec == "" {
+		// The label keys every run's RNG streams. Flag- and preset-built
+		// labsim runs use the bare client name, which keeps their results
+		// stable; a spec keeps the sweeps' "<client>-<name>".
+		sc.Label = p.ClientName
 	}
-	return fmt.Sprintf("warning: -shards %d on a single-backend topology keeps all server work on one shard (near the sharding break-even); use -parallel to parallelize across runs, or -replicas to spread server work", shards)
+	sc.Point, sc.Workers = mp, *parallel
+	return sc, nil
 }
 
 func clientConfig(preset, maxCState, governor string, turbo bool) (hw.Config, error) {

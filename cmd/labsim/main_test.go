@@ -1,14 +1,26 @@
 package main
 
 import (
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/figures"
+	"repro/internal/loadgen"
+	"repro/internal/metrics"
+	"repro/internal/spec"
 )
 
 // TestCheckFlags is the fail-fast table: -spec against spec-owned shape
 // flags, and the router/replicas pairing, rejected before any
-// simulation starts.
+// simulation starts. The base is labsim's flag-built preset for the
+// given service.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -48,15 +60,16 @@ func TestCheckFlags(t *testing.T) {
 			for _, name := range tc.set {
 				set[name] = true
 			}
-			err := checkFlags(set, tc.spec, tc.replicas, tc.router, tc.shards, tc.service)
+			f := cli.Flags{Set: set, Spec: tc.spec, Replicas: tc.replicas, Router: tc.router, Shards: tc.shards}
+			err := f.Check(&figures.Preset{Service: experiment.Service(tc.service)}, specOwnedFlags)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("checkFlags = %v, want nil", err)
+					t.Fatalf("Check = %v, want nil", err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("checkFlags = nil, want error containing %q", tc.wantErr)
+				t.Fatalf("Check = nil, want error containing %q", tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
@@ -66,8 +79,9 @@ func TestCheckFlags(t *testing.T) {
 }
 
 // TestCheckResilienceFlags is the fail-fast table for the client
-// resilience knobs, mirroring cmd/repro: negatives, dependent flags and
-// the hedge/timeout ordering are rejected before any simulation starts.
+// resilience knobs: negatives, dependent flags and the hedge/timeout
+// ordering are rejected before any simulation starts. A resilient base
+// carries the faulty-cluster preset's 2ms timeout.
 func TestCheckResilienceFlags(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -91,15 +105,19 @@ func TestCheckResilienceFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkResilienceFlags(tc.timeout, tc.retries, tc.hedge, tc.resilient)
+			base := &figures.Preset{}
+			if tc.resilient {
+				base.Resilience = &loadgen.ResilienceConfig{Timeout: 2 * time.Millisecond}
+			}
+			err := cli.Flags{Timeout: tc.timeout, Retries: tc.retries, Hedge: tc.hedge}.Check(base, specOwnedFlags)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("checkResilienceFlags = %v, want nil", err)
+					t.Fatalf("Check = %v, want nil", err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("checkResilienceFlags = %v, want error containing %q", err, tc.wantErr)
+				t.Fatalf("Check = %v, want error containing %q", err, tc.wantErr)
 			}
 		})
 	}
@@ -124,13 +142,80 @@ func TestShardWarning(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := shardWarning(tc.shards, tc.replicas)
+			w := cli.Flags{Shards: tc.shards, Replicas: tc.replicas}.ShardWarning(&figures.Preset{})
 			if got := w != ""; got != tc.want {
-				t.Fatalf("shardWarning emitted %q, want warning=%v", w, tc.want)
+				t.Fatalf("ShardWarning emitted %q, want warning=%v", w, tc.want)
 			}
 			if tc.want && !strings.Contains(w, "-parallel") {
 				t.Fatalf("warning %q does not suggest -parallel", w)
 			}
 		})
+	}
+}
+
+// TestPresetMatchesFigures pins that "labsim -preset P" runs, at P's peak
+// rate, exactly the scenario the figures sweep builds for that rate:
+// one override path for both CLIs. Only labsim's own run fields are set
+// apart: its RNG stream label (the client name), measurement point and
+// worker count.
+func TestPresetMatchesFigures(t *testing.T) {
+	for _, p := range figures.Presets() {
+		t.Run(p.Name, func(t *testing.T) {
+			got, err := parse([]string{"-preset", p.Name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := figures.PresetScenario(p, p.Rates[len(p.Rates)-1], figures.SweepOptions{Seed: 1})
+			want.Label, want.Point, want.Workers = p.ClientName, core.InApp, runtime.GOMAXPROCS(0)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("labsim scenario differs from figures':\ngot  %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestSpecMatchesSpecScenario pins that "labsim -spec F" runs the
+// scenario the spec itself compiles at its peak rate, for every shipped
+// example, so routing specs through the shared preset path changes no
+// result.
+func TestSpecMatchesSpecScenario(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.yaml"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs: %v", err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			s, err := spec.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := parse([]string{"-spec", path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rates := s.SweepRates()
+			want := s.Scenario(rates[len(rates)-1])
+			want.Seed, want.SampleMode, want.Workers = 1, metrics.SampleAuto, runtime.GOMAXPROCS(0)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("labsim scenario differs from the spec's:\ngot  %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestParseRejectsNegativeSizes pins the fail-fast bugfix: a negative
+// -runs or -samples is an error, not a silent "use the default".
+func TestParseRejectsNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-samples", "-7"}, "-samples"},
+		{[]string{"-runs", "-3"}, "-runs"},
+		{[]string{"-preset", "million-qps", "-runs", "-3", "-samples", "-7"}, "-runs"},
+	} {
+		if _, err := parse(tc.args); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("parse(%q) = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
 	}
 }

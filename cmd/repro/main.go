@@ -14,10 +14,15 @@
 // presets the engine work unlocked (timer-wheel O(1) scheduling,
 // streaming measurement, pooled request lifecycle):
 //
-//	million-qps  Memcached load sweep to 1M QPS, 1M streamed samples/run
-//	cluster      Replicated Memcached fleet behind consistent hashing
-//	sharded      The cluster sweep with each run split over 4 engines
-//	hour-long    Memcached at 100K QPS for one virtual hour per run
+//	million-qps     Memcached load sweep to 1M QPS, 1M streamed samples/run
+//	cluster         Replicated Memcached fleet behind consistent hashing
+//	sharded         The cluster sweep with each run split over 4 engines
+//	faulty-cluster  The cluster fleet with a mid-run replica crash,
+//	                client timeouts and bounded retries
+//	hour-long       Memcached at 100K QPS for one virtual hour per run
+//
+// Each preset is the spec file examples/NAME.yaml; -help lists the
+// registry.
 //
 // Presets are excluded from -experiment all (they are full-size by
 // design); -runs and -samples scale them down, which is how CI smokes
@@ -53,9 +58,10 @@
 // -spec and -experiment are mutually exclusive (the spec names its own
 // sweep); -runs/-samples/-replicas/-router still scale and reshape a
 // spec the way they do a preset. Flag combinations are validated before
-// any work starts: an unknown router, or -router without -replicas (and
-// without a clustered preset or spec), fails in milliseconds instead of
-// after a sweep.
+// any work starts (package internal/cli, shared with labsim): an unknown
+// router, a negative -runs or -samples, or -router without -replicas
+// (and without a clustered preset or spec), fails in milliseconds
+// instead of after a sweep.
 package main
 
 import (
@@ -64,33 +70,31 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/cli"
 	"repro/internal/envpool"
-	"repro/internal/experiment"
 	"repro/internal/figures"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/spec"
 )
 
+// specOwnedFlags are the flags a -spec file replaces: it names its own
+// sweep.
+var specOwnedFlags = []string{"experiment"}
+
 func main() {
-	exp := flag.String("experiment", "all", "which table/figure to regenerate, or a scale preset (million-qps, cluster, sharded, faulty-cluster, hour-long)")
-	specPath := flag.String("spec", "", "run a workload spec file (YAML or JSON) as a sweep; mutually exclusive with -experiment")
-	runs := flag.Int("runs", 0, "repetitions per configuration (0 = paper defaults: 50, or 20 for the synthetic study)")
-	samples := flag.Int("samples", 0, "post-warmup samples per run (0 = per-service default)")
+	var f cli.Flags
+	exp := flag.String("experiment", "all", "which table/figure to regenerate, or a scale preset ("+cli.PresetNames(", ")+")")
+	flag.StringVar(&f.Spec, "spec", "", "run a workload spec file (YAML or JSON) as a sweep; mutually exclusive with -experiment")
+	flag.IntVar(&f.Runs, "runs", 0, "repetitions per configuration (0 = paper defaults: 50, or 20 for the synthetic study)")
+	flag.IntVar(&f.Samples, "samples", 0, "post-warmup samples per run (0 = per-service default)")
 	seed := flag.Uint64("seed", 2024, "experiment seed (same seed ⇒ identical output)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep cells (output is identical for any value)")
 	sampleMode := flag.String("samplemode", "auto", "per-run sample reduction: auto|exact|streaming (streaming runs in O(1) memory per run)")
-	replicas := flag.Int("replicas", 0, "run each backend as N replicas behind -router (0 = single backend)")
-	router := flag.String("router", "", "replica routing policy: round-robin|least-outstanding|consistent-hash")
-	shards := flag.Int("shards", 0, "partition each run across N simulation engines (0 = preset/spec shape; output identical for any value)")
-	timeout := flag.Duration("timeout", 0, "per-request client timeout enabling the resilience stack (0 = preset/spec shape)")
-	retries := flag.Int("retries", 0, "bounded retry budget per request; requires -timeout or a resilient preset/spec (0 = preset/spec shape)")
-	hedge := flag.Duration("hedge", 0, "hedged-request delay, must be below the timeout; requires -timeout or a resilient preset/spec (0 = preset/spec shape)")
+	f.Register(flag.CommandLine)
 	verbose := flag.Bool("v", false, "print per-scenario progress to stderr")
 	flag.Parse()
+	f.Parsed(flag.CommandLine)
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "repro:", err)
@@ -101,195 +105,38 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	var specPreset *figures.Preset
-	if *specPath != "" {
-		s, err := spec.Load(*specPath)
-		if err != nil {
-			fail(err)
-		}
-		p := figures.PresetFromSpec(s)
-		specPreset = &p
-	}
-	if err := checkFlags(set["experiment"], *specPath, *replicas, *router,
-		baseClustered(strings.ToLower(*exp), specPreset), *shards, set["shards"],
-		basePartitions(strings.ToLower(*exp), specPreset, *replicas)); err != nil {
+	name := strings.ToLower(*exp)
+	base, err := cli.Base(f.Spec, name)
+	if err != nil {
 		fail(err)
 	}
-	if err := checkResilienceFlags(*timeout, *retries, *hedge,
-		baseResilient(strings.ToLower(*exp), specPreset)); err != nil {
+	if err := f.Check(base, specOwnedFlags); err != nil {
 		fail(err)
 	}
-	if w := shardWarning(*shards, effectiveReplicas(strings.ToLower(*exp), specPreset, *replicas)); w != "" {
+	if w := f.ShardWarning(base); w != "" {
 		fmt.Fprintln(os.Stderr, "repro:", w)
 	}
 
-	opts := figures.SweepOptions{
-		Runs: *runs, Seed: *seed, TargetSamples: *samples, Workers: *parallel,
-		SampleMode: mode, Replicas: *replicas, Router: *router, Shards: *shards,
-		Timeout: *timeout, Retries: *retries, Hedge: *hedge,
-		// One worker budget and one backend pool span every study of this
-		// invocation, so -parallel bounds the whole regeneration and
-		// backends are reused across figures, not just within one sweep.
-		Budget:   sched.NewBudget(sched.Resolve(*parallel)),
-		Backends: envpool.New(),
-	}
+	opts := f.Options()
+	opts.Seed, opts.Workers, opts.SampleMode = *seed, *parallel, mode
+	// One worker budget and one backend pool span every study of this
+	// invocation, so -parallel bounds the whole regeneration and backends
+	// are reused across figures, not just within one sweep.
+	opts.Budget = sched.NewBudget(sched.Resolve(*parallel))
+	opts.Backends = envpool.New()
 	if *verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 
-	if specPreset != nil {
-		if err := runPreset(*specPreset, opts); err != nil {
+	if f.Spec != "" {
+		if err := runPreset(*base, opts); err != nil {
 			fail(err)
 		}
 		return
 	}
-	if err := run(strings.ToLower(*exp), opts); err != nil {
+	if err := run(name, opts); err != nil {
 		fail(err)
 	}
-}
-
-// checkFlags validates flag combinations before any work starts, so a
-// bad invocation fails in milliseconds rather than after a sweep.
-// clustered reports whether the selected preset or spec already runs a
-// replica set, which makes a bare -router a legitimate policy override.
-// shards carries the -shards value and whether it was set explicitly (an
-// explicit 0 is a request for "no engines", not the default); partitions
-// is the invocation's machine+replica partition count when a single
-// service is selected, 0 when unknown (figure grids mix services — the
-// scenario validator catches oversharding per cell, still before any
-// simulation).
-func checkFlags(expSet bool, specPath string, replicas int, router string, clustered bool, shards int, shardsSet bool, partitions int) error {
-	if specPath != "" && expSet {
-		return fmt.Errorf("-spec and -experiment are mutually exclusive (the spec names its own sweep)")
-	}
-	if replicas < 0 {
-		return fmt.Errorf("-replicas must be ≥ 0, got %d", replicas)
-	}
-	if router != "" {
-		if _, err := cluster.NewRouter(router); err != nil {
-			return err
-		}
-		if replicas <= 0 && !clustered {
-			return fmt.Errorf("-router %s requires -replicas (or a clustered preset/spec)", router)
-		}
-	}
-	if shardsSet && shards < 1 {
-		return fmt.Errorf("-shards must be ≥ 1, got %d", shards)
-	}
-	if shards > 1 && partitions > 0 && shards > partitions {
-		return fmt.Errorf("-shards %d exceeds the %d machine+replica partitions", shards, partitions)
-	}
-	return nil
-}
-
-// checkResilienceFlags fail-fast-validates the client resilience knobs.
-// resilient reports whether the selected preset or spec already carries
-// a request timeout, which makes bare -retries/-hedge overrides
-// legitimate.
-func checkResilienceFlags(timeout time.Duration, retries int, hedge time.Duration, resilient bool) error {
-	if timeout < 0 {
-		return fmt.Errorf("-timeout must be ≥ 0, got %v", timeout)
-	}
-	if retries < 0 {
-		return fmt.Errorf("-retries must be ≥ 0, got %d", retries)
-	}
-	if hedge < 0 {
-		return fmt.Errorf("-hedge must be ≥ 0, got %v", hedge)
-	}
-	if (retries > 0 || hedge > 0) && timeout == 0 && !resilient {
-		return fmt.Errorf("-retries/-hedge require -timeout (or a preset/spec with a resilience timeout)")
-	}
-	if hedge > 0 && timeout > 0 && hedge >= timeout {
-		return fmt.Errorf("-hedge %v must be below the timeout %v", hedge, timeout)
-	}
-	return nil
-}
-
-// baseResilient reports whether the invocation's preset or spec already
-// enables client resilience before any flag override.
-func baseResilient(exp string, specPreset *figures.Preset) bool {
-	if specPreset != nil {
-		return specPreset.Resilience != nil && specPreset.Resilience.Enabled()
-	}
-	if p, ok := figures.PresetByName(exp); ok {
-		return p.Resilience != nil && p.Resilience.Enabled()
-	}
-	return false
-}
-
-// basePartitions resolves the invocation's shard-partition count — client
-// machines plus backend replicas — when a single preset or spec fixes the
-// service; 0 (unknown) otherwise. Mirrors experiment.Scenario's
-// per-service deployment: one client machine for hdsearch/socialnet,
-// four for the mutilate-style services.
-func basePartitions(exp string, specPreset *figures.Preset, replicasFlag int) int {
-	var p figures.Preset
-	if specPreset != nil {
-		p = *specPreset
-	} else if bp, ok := figures.PresetByName(exp); ok {
-		p = bp
-	} else {
-		return 0
-	}
-	machines := 4
-	switch p.Service {
-	case experiment.ServiceHDSearch, experiment.ServiceSocialNet:
-		machines = 1
-	}
-	replicas := p.Replicas
-	if replicasFlag > 0 {
-		replicas = replicasFlag
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	return machines + replicas
-}
-
-// effectiveReplicas resolves the replica count the invocation will run:
-// the -replicas override when set, else the preset's or spec's shape,
-// else the single-backend default.
-func effectiveReplicas(exp string, specPreset *figures.Preset, replicasFlag int) int {
-	if replicasFlag > 0 {
-		return replicasFlag
-	}
-	if specPreset != nil {
-		return specPreset.Replicas
-	}
-	if p, ok := figures.PresetByName(exp); ok {
-		return p.Replicas
-	}
-	return 0
-}
-
-// shardWarning returns a one-line ergonomics warning when -shards > 1
-// is requested on a single-backend topology: the partition layout pins
-// all server work to the shard that owns the backend, so conservative
-// sync runs near its break-even instead of speeding up (the hour-long
-// preset's shape). Replicated topologies spread server work across
-// shards and stay silent. Warning only — the run proceeds, and its
-// output is byte-identical either way.
-func shardWarning(shards, effectiveReplicas int) string {
-	if shards <= 1 || effectiveReplicas > 1 {
-		return ""
-	}
-	return fmt.Sprintf("warning: -shards %d on a single-backend topology keeps all server work on one shard (near the sharding break-even); use -parallel to parallelize across runs, or -replicas to spread server work", shards)
-}
-
-// baseClustered reports whether the invocation's preset or spec selects
-// the cluster path before any -replicas override.
-func baseClustered(exp string, specPreset *figures.Preset) bool {
-	if specPreset != nil {
-		return specPreset.Replicas > 1 || specPreset.Autoscale != nil
-	}
-	if p, ok := figures.PresetByName(exp); ok {
-		return p.Replicas > 1
-	}
-	return false
 }
 
 func run(exp string, opts figures.SweepOptions) error {

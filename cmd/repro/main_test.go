@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiment"
 	"repro/internal/figures"
-	"repro/internal/loadgen"
 	"repro/internal/spec"
 )
 
@@ -38,20 +38,43 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// specBase loads an example spec the way -spec does; name is the
+// -experiment value it must win over.
+func specBase(t *testing.T, file, name string) *figures.Preset {
+	t.Helper()
+	p, err := cli.Base(filepath.Join("..", "..", "examples", file), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// presetBase resolves -experiment name the way main does: a built-in
+// preset, or nil for a figure grid.
+func presetBase(t *testing.T, name string) *figures.Preset {
+	t.Helper()
+	p, err := cli.Base("", name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestCheckFlags is the fail-fast table: bad flag combinations must be
-// rejected at startup, before any sweep runs.
+// rejected at startup, before any sweep runs. base is the preset or spec
+// the invocation sweeps (nil: a figure grid).
 func TestCheckFlags(t *testing.T) {
+	clustered := &figures.Preset{Replicas: 4}
 	cases := []struct {
-		name       string
-		expSet     bool
-		spec       string
-		replicas   int
-		router     string
-		clustered  bool
-		shards     int
-		shardsSet  bool
-		partitions int
-		wantErr    bool
+		name      string
+		expSet    bool
+		spec      string
+		replicas  int
+		router    string
+		base      *figures.Preset
+		shards    int
+		shardsSet bool
+		wantErr   bool
 	}{
 		{name: "defaults"},
 		{name: "spec-alone", spec: "x.yaml"},
@@ -60,21 +83,25 @@ func TestCheckFlags(t *testing.T) {
 		{name: "replicas-no-router", replicas: 4},
 		{name: "router-and-replicas", replicas: 4, router: "round-robin"},
 		{name: "router-no-replicas", router: "round-robin", wantErr: true},
-		{name: "router-clustered-preset", router: "least-outstanding", clustered: true},
+		{name: "router-clustered-preset", router: "least-outstanding", base: clustered},
 		{name: "unknown-router", replicas: 4, router: "random", wantErr: true},
-		{name: "unknown-router-clustered", router: "random", clustered: true, wantErr: true},
+		{name: "unknown-router-clustered", router: "random", base: clustered, wantErr: true},
 		{name: "negative-replicas", replicas: -1, wantErr: true},
-		{name: "shards-valid", shards: 4, shardsSet: true, partitions: 8},
+		// 4 client machines + 4 replicas = 8 partitions.
+		{name: "shards-valid", shards: 4, shardsSet: true, base: &figures.Preset{Service: experiment.ServiceMemcached, Replicas: 4}},
 		{name: "shards-zero-explicit", shardsSet: true, wantErr: true},
 		{name: "shards-negative", shards: -1, shardsSet: true, wantErr: true},
-		{name: "shards-over-partitions", shards: 5, shardsSet: true, partitions: 4, wantErr: true},
+		// 1 client machine + 3 replicas = 4 partitions.
+		{name: "shards-over-partitions", shards: 5, shardsSet: true, base: &figures.Preset{Service: experiment.ServiceHDSearch, Replicas: 3}, wantErr: true},
 		{name: "shards-unknown-partitions", shards: 16, shardsSet: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkFlags(tc.expSet, tc.spec, tc.replicas, tc.router, tc.clustered, tc.shards, tc.shardsSet, tc.partitions)
+			f := cli.Flags{Set: map[string]bool{"experiment": tc.expSet, "shards": tc.shardsSet},
+				Spec: tc.spec, Replicas: tc.replicas, Router: tc.router, Shards: tc.shards}
+			err := f.Check(tc.base, specOwnedFlags)
 			if (err != nil) != tc.wantErr {
-				t.Errorf("checkFlags = %v, wantErr %v", err, tc.wantErr)
+				t.Errorf("Check = %v, wantErr %v", err, tc.wantErr)
 			}
 		})
 	}
@@ -107,15 +134,19 @@ func TestCheckResilienceFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkResilienceFlags(tc.timeout, tc.retries, tc.hedge, tc.resilient)
+			var base *figures.Preset
+			if tc.resilient {
+				base = presetBase(t, "faulty-cluster") // 2ms timeout
+			}
+			err := cli.Flags{Timeout: tc.timeout, Retries: tc.retries, Hedge: tc.hedge}.Check(base, specOwnedFlags)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("checkResilienceFlags = %v, want nil", err)
+					t.Fatalf("Check = %v, want nil", err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("checkResilienceFlags = %v, want error containing %q", err, tc.wantErr)
+				t.Fatalf("Check = %v, want error containing %q", err, tc.wantErr)
 			}
 		})
 	}
@@ -124,18 +155,19 @@ func TestCheckResilienceFlags(t *testing.T) {
 // TestBaseResilient pins which invocations make a bare -retries/-hedge
 // legal: the preset or spec must already carry a resilience timeout.
 func TestBaseResilient(t *testing.T) {
-	if baseResilient("million-qps", nil) {
+	retriesOK := func(base *figures.Preset) bool {
+		return cli.Flags{Retries: 2}.Check(base, specOwnedFlags) == nil
+	}
+	if retriesOK(presetBase(t, "million-qps")) {
 		t.Error("million-qps reported resilient")
 	}
-	if !baseResilient("faulty-cluster", nil) {
+	if !retriesOK(presetBase(t, "faulty-cluster")) {
 		t.Error("faulty-cluster preset not reported resilient")
 	}
-	p := figures.Preset{Resilience: &loadgen.ResilienceConfig{Timeout: time.Millisecond}}
-	if !baseResilient("all", &p) {
+	if !retriesOK(specBase(t, "faulty-cluster.yaml", "all")) {
 		t.Error("resilient spec not reported resilient")
 	}
-	bare := figures.Preset{}
-	if baseResilient("faulty-cluster", &bare) {
+	if retriesOK(specBase(t, "cluster.yaml", "faulty-cluster")) {
 		t.Error("non-resilient spec reported resilient (spec must win over -experiment name)")
 	}
 }
@@ -143,38 +175,43 @@ func TestBaseResilient(t *testing.T) {
 // TestBasePartitions pins the fail-fast partition count: the shard
 // ceiling a preset or spec invocation is checked against at startup.
 func TestBasePartitions(t *testing.T) {
-	if got := basePartitions("all", nil, 0); got != 0 {
-		t.Errorf("figure grid partitions = %d, want 0 (unknown)", got)
+	// ceiling asserts that -shards want passes and -shards want+1 fails.
+	ceiling := func(label string, base *figures.Preset, replicas, want int) {
+		t.Helper()
+		check := func(shards int) error {
+			return cli.Flags{Set: map[string]bool{"shards": true}, Shards: shards, Replicas: replicas}.Check(base, specOwnedFlags)
+		}
+		if err := check(want); err != nil {
+			t.Errorf("%s: -shards %d rejected: %v", label, want, err)
+		}
+		if err := check(want + 1); err == nil || !strings.Contains(err.Error(), "partitions") {
+			t.Errorf("%s: -shards %d = %v, want the %d-partition ceiling", label, want+1, err, want)
+		}
 	}
-	if got := basePartitions("million-qps", nil, 0); got != 5 {
-		t.Errorf("million-qps partitions = %d, want 5 (4 machines + 1 backend)", got)
+	if err := (cli.Flags{Set: map[string]bool{"shards": true}, Shards: 64}).Check(presetBase(t, "all"), specOwnedFlags); err != nil {
+		t.Errorf("figure grid partitions must be unknown (no ceiling): %v", err)
 	}
-	if got := basePartitions("sharded", nil, 0); got != 8 {
-		t.Errorf("sharded partitions = %d, want 8 (4 machines + 4 replicas)", got)
-	}
-	if got := basePartitions("million-qps", nil, 3); got != 7 {
-		t.Errorf("million-qps -replicas 3 partitions = %d, want 7", got)
-	}
-	p := figures.Preset{Service: experiment.ServiceHDSearch, Replicas: 2}
-	if got := basePartitions("all", &p, 0); got != 3 {
-		t.Errorf("hdsearch spec partitions = %d, want 3 (1 machine + 2 replicas)", got)
-	}
+	ceiling("million-qps (4 machines + 1 backend)", presetBase(t, "million-qps"), 0, 5)
+	ceiling("sharded (4 machines + 4 replicas)", presetBase(t, "sharded"), 0, 8)
+	ceiling("million-qps -replicas 3", presetBase(t, "million-qps"), 3, 7)
+	ceiling("hdsearch spec (1 machine + 2 replicas)", &figures.Preset{Service: experiment.ServiceHDSearch, Replicas: 2}, 0, 3)
 }
 
 // TestBaseClustered pins which invocations make a bare -router legal.
 func TestBaseClustered(t *testing.T) {
-	if baseClustered("million-qps", nil) {
+	routerOK := func(base *figures.Preset) bool {
+		return cli.Flags{Router: "least-outstanding"}.Check(base, specOwnedFlags) == nil
+	}
+	if routerOK(presetBase(t, "million-qps")) {
 		t.Error("million-qps reported clustered")
 	}
-	if !baseClustered("cluster", nil) {
+	if !routerOK(presetBase(t, "cluster")) {
 		t.Error("cluster preset not reported clustered")
 	}
-	p := figures.Preset{Replicas: 4}
-	if !baseClustered("all", &p) {
+	if !routerOK(specBase(t, "cluster.yaml", "all")) {
 		t.Error("replicated spec not reported clustered")
 	}
-	single := figures.Preset{}
-	if baseClustered("cluster", &single) {
+	if routerOK(specBase(t, "million-qps.yaml", "cluster")) {
 		t.Error("single-backend spec reported clustered (spec must win over -experiment name)")
 	}
 }
@@ -228,9 +265,13 @@ func TestShardWarning(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := shardWarning(tc.shards, effectiveReplicas(tc.exp, tc.spec, tc.replicas))
+			base := tc.spec
+			if base == nil {
+				base = presetBase(t, tc.exp)
+			}
+			w := cli.Flags{Shards: tc.shards, Replicas: tc.replicas}.ShardWarning(base)
 			if got := w != ""; got != tc.want {
-				t.Fatalf("shardWarning emitted %q, want warning=%v", w, tc.want)
+				t.Fatalf("ShardWarning emitted %q, want warning=%v", w, tc.want)
 			}
 			if tc.want && !strings.Contains(w, "-parallel") {
 				t.Fatalf("warning %q does not suggest -parallel", w)

@@ -230,7 +230,7 @@ func (s Scenario) Validate() error {
 					router, cluster.RouterConsistentHash)
 			}
 		}
-		if p := s.shardPartitions(); s.Shards > p {
+		if p := s.ShardPartitions(); s.Shards > p {
 			return fmt.Errorf("experiment: %d shards exceed the %d machine+replica partitions", s.Shards, p)
 		}
 	}
@@ -276,10 +276,10 @@ func (s Scenario) clientMachines() int {
 	return 4 // mutilate-style deployments (Memcached, Synthetic)
 }
 
-// shardPartitions is the scenario's shard-assignable unit count: client
+// ShardPartitions is the scenario's shard-assignable unit count: client
 // machines plus backend replicas (one for a bare backend). Shards above
 // it would own no simulation state.
-func (s Scenario) shardPartitions() int {
+func (s Scenario) ShardPartitions() int {
 	replicas := 1
 	if s.Clustered() {
 		_, replicas = s.clusterShape()

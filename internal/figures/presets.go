@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/examples"
 	"repro/internal/cluster"
 	"repro/internal/experiment"
 	"repro/internal/faults"
@@ -27,7 +28,8 @@ import (
 //
 // Full-size presets are deliberately big (minutes of host time); both
 // CLIs let -runs and -samples scale them down, which is how CI smokes
-// them per commit.
+// them per commit. Each preset is defined once, as the spec file
+// examples/NAME.yaml.
 
 // Preset is a named large-scale sweep: one service, one client, one
 // server, a rate axis.
@@ -83,99 +85,25 @@ type Preset struct {
 	HiccupMean time.Duration
 }
 
-// Presets returns the built-in large-scale presets.
+// Presets returns the built-in large-scale presets, compiled from the
+// embedded spec files in examples.PresetNames order. Each call parses
+// afresh, so callers never share a preset's slices or pointers.
 func Presets() []Preset {
-	return []Preset{
-		{
-			Name:        "million-qps",
-			Description: "Memcached load sweep to 1M QPS (2× the paper's peak), 1M streamed samples per run",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
-			Rates:       []float64{250_000, 500_000, 750_000, 1_000_000},
-			Runs:        5,
-			// 1M post-warmup samples per run: far past the streaming
-			// threshold, so each run reduces in O(1) memory while the
-			// wheel keeps per-event cost flat at ~10^5 pending events.
-			TargetSamples: 1_000_000,
-		},
-		{
-			Name:        "cluster",
-			Description: "Replicated Memcached fleet: 4 replicas behind consistent hashing, to 2M QPS offered",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
-			// One instance saturates near 900K QPS; the upper rates only
-			// stay serviceable because the router spreads them over the
-			// fleet — the scale-out table's axis.
-			Rates:         []float64{250_000, 500_000, 1_000_000, 2_000_000},
-			Runs:          5,
-			TargetSamples: 250_000,
-			Replicas:      4,
-			Router:        cluster.RouterConsistentHash,
-		},
-		{
-			Name:        "sharded",
-			Description: "Replicated Memcached fleet across 4 sharded engines: the cluster sweep, parallelized in-run",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
-			// The cluster preset's shape — consistent hashing is the one
-			// routing policy the sharded path admits (send-time routing) —
-			// with each run partitioned over 4 engines: 4 client machines
-			// + 4 replicas = 8 partitions, 2 per shard.
-			Rates:         []float64{250_000, 500_000, 1_000_000, 2_000_000},
-			Runs:          5,
-			TargetSamples: 250_000,
-			Replicas:      4,
-			Router:        cluster.RouterConsistentHash,
-			Shards:        4,
-		},
-		{
-			Name:        "faulty-cluster",
-			Description: "Replicated Memcached fleet with a mid-run replica crash, client timeouts and bounded retries",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
-			// The cluster preset's fleet with one replica crashed for the
-			// middle third of every run. Consistent hashing keeps the run
-			// shardable, so the fault path is exercised by both execution
-			// modes; the resilience stack turns the dark replica's share
-			// into retries against the survivors instead of lost requests.
-			Rates:         []float64{250_000, 500_000, 1_000_000},
-			Runs:          5,
-			TargetSamples: 250_000,
-			Replicas:      4,
-			Router:        cluster.RouterConsistentHash,
-			Faults: &faults.Plan{
-				Crashes: []faults.CrashWindow{{Replica: 1, Start: 0.35, End: 0.65}},
-			},
-			Resilience: &loadgen.ResilienceConfig{
-				Timeout:   2 * time.Millisecond,
-				Retries:   2,
-				RetryBase: 200 * time.Microsecond,
-				RetryCap:  2 * time.Millisecond,
-			},
-		},
-		{
-			Name:        "hour-long",
-			Description: "Memcached at 100K QPS for one virtual hour per run (360M samples, streamed)",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
-			Rates:       []float64{100_000},
-			Runs:        3,
-			// TargetSamples sets the measurement window: samples/rate =
-			// 3600 virtual seconds. Only streaming reduction makes the
-			// run's memory independent of those 3.6e8 samples.
-			TargetSamples: 360_000_000,
-		},
+	out := make([]Preset, len(examples.PresetNames))
+	for i, name := range examples.PresetNames {
+		// The files are compiled in and validated by tests, so a failure
+		// here is a build defect, not bad input.
+		src, err := examples.Specs.ReadFile(name + ".yaml")
+		var s *spec.Spec
+		if err == nil {
+			s, err = spec.Parse(src)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("figures: preset %s: %v", name, err))
+		}
+		out[i] = PresetFromSpec(s)
 	}
+	return out
 }
 
 // PresetByName resolves a preset by its CLI spelling.
@@ -203,10 +131,13 @@ type PresetResult struct {
 	Results []experiment.Result // index-aligned with Preset.Rates
 }
 
-// presetScenario assembles the scenario for one rate of a preset under
-// the given options: the preset supplies full-size defaults, the
-// options' Runs/TargetSamples override them (the smoke knob CI uses).
-func presetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenario {
+// PresetScenario assembles the scenario for one rate of a preset under
+// the given options: the preset supplies full-size defaults, and each
+// non-zero option overrides its field — Runs/TargetSamples (the smoke
+// knob CI uses), the cluster shape, and the resilience knobs, merged
+// into the preset's resilience config. Both CLIs build their scenarios
+// here.
+func PresetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenario {
 	samples := p.TargetSamples
 	if opts.TargetSamples > 0 {
 		samples = opts.TargetSamples
@@ -272,9 +203,9 @@ func presetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenar
 }
 
 // PresetFromSpec compiles a loaded workload spec into a Preset, the
-// unit both CLIs sweep. A spec re-expressing a built-in preset compiles
-// to a Preset equal to the built-in one — the parity the golden tests
-// pin — so -spec is a superset of -experiment/-preset.
+// unit both CLIs sweep. The built-in presets are compiled here from
+// their embedded spec files, so -spec is a superset of
+// -experiment/-preset.
 func PresetFromSpec(s *spec.Spec) Preset {
 	client, clientName := s.ClientConfig()
 	p := Preset{
@@ -319,7 +250,7 @@ func RunPreset(p Preset, opts SweepOptions) (*PresetResult, error) {
 	results, err := sched.MapWorkers(envCtx, pool, len(p.Rates),
 		func(int) (struct{}, error) { return struct{}{}, nil }, nil,
 		func(ctx context.Context, _ struct{}, i int) (experiment.Result, error) {
-			res, err := experiment.RunContext(ctx, presetScenario(p, p.Rates[i], opts))
+			res, err := experiment.RunContext(ctx, PresetScenario(p, p.Rates[i], opts))
 			if err != nil {
 				return experiment.Result{}, fmt.Errorf("figures: preset %s @%s: %w", p.Name, FormatRate(p.Rates[i]), err)
 			}

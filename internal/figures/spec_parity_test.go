@@ -18,17 +18,17 @@ func loadExampleSpec(t *testing.T, name string) *spec.Spec {
 	return s
 }
 
-// TestSpecPresetParity pins that the spec re-expressions of the
-// built-in presets compile to exactly the hard-coded Preset values:
-// the declarative format loses nothing the code path had.
+// TestSpecPresetParity pins that every built-in preset equals its spec
+// file on disk compiled through PresetFromSpec: the embedded registry
+// and the files users pass to -spec are the same definition.
 func TestSpecPresetParity(t *testing.T) {
-	for _, name := range []string{"million-qps", "cluster", "hour-long", "sharded"} {
-		t.Run(name, func(t *testing.T) {
-			want, ok := PresetByName(name)
-			if !ok {
-				t.Fatalf("no built-in preset %s", name)
-			}
-			got := PresetFromSpec(loadExampleSpec(t, name+".yaml"))
+	presets := Presets()
+	if len(presets) != 5 {
+		t.Fatalf("registry holds %d presets, want 5", len(presets))
+	}
+	for _, want := range presets {
+		t.Run(want.Name, func(t *testing.T) {
+			got := PresetFromSpec(loadExampleSpec(t, want.Name+".yaml"))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("spec-compiled preset differs from built-in:\ngot  %+v\nwant %+v", got, want)
 			}

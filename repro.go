@@ -158,9 +158,13 @@
 // first-class sweeps: "million-qps" (Memcached to 1M QPS, 2× the paper's
 // peak, 1M streamed samples per run), "cluster" (a four-replica
 // Memcached fleet behind consistent hashing to 2M QPS offered, rendered
-// as load-balance-skew and scale-out-latency tables), "hour-long"
-// (one virtual hour per run at 100K QPS), and "sharded" (the cluster
-// fleet with each run partitioned over 4 engines). Run them via "repro
+// as load-balance-skew and scale-out-latency tables), "sharded" (the
+// cluster fleet with each run partitioned over 4 engines),
+// "faulty-cluster" (the cluster fleet with a mid-run replica crash,
+// client timeouts and bounded retries), and "hour-long" (one virtual
+// hour per run at 100K QPS). Each preset is defined once, as the spec
+// file examples/NAME.yaml, which package examples embeds and
+// figures.Presets compiles on every call. Run them via "repro
 // -experiment million-qps" or "labsim -preset hour-long";
 // -runs/-samples scale them down (CI smokes them that way per commit,
 // "make smoke-presets"). Cross-run aggregate distributions can be built
@@ -251,16 +255,16 @@
 //
 // The full schema is documented on package internal/spec, and
 // examples/*.yaml contains a commented file per feature — including the
-// three scale presets re-expressed as specs, which render
-// byte-identically to the built-ins. Both binaries accept
-// "-spec file.yaml" ("repro -spec examples/phases-spike.yaml";
-// smoke knobs like -runs/-samples still apply, scenario-shape flags
-// conflict and fail fast). Programmatically: LoadSpec or ParseSpec,
-// then WorkloadSpec.Scenario for a single-rate RunScenario (or
-// figures.PresetFromSpec to run the full sweep the CLIs run). Specs
-// compile onto the
-// same deterministic machinery as everything above, so spec-driven
-// scenarios keep the byte-identical-at-any-parallelism guarantee.
+// scale presets themselves, whose spec files are their only
+// definition. Both binaries accept "-spec file.yaml" ("repro -spec
+// examples/phases-spike.yaml"; smoke knobs like -runs/-samples still
+// apply, scenario-shape flags conflict and fail fast, through the flag
+// validation both CLIs share in internal/cli). Programmatically:
+// LoadSpec or ParseSpec, then WorkloadSpec.Scenario for a single-rate
+// RunScenario (or figures.PresetFromSpec to run the full sweep the CLIs
+// run). Specs compile onto the same deterministic machinery as
+// everything above, so spec-driven scenarios keep the
+// byte-identical-at-any-parallelism guarantee.
 //
 // The deeper layers are exposed as sub-packages under internal/ for the
 // repository's own binaries, examples and tests; this package re-exports
