@@ -7,9 +7,11 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR10.json
+# bench-json writes an uncommitted, git-ignored report; committed
+# BENCH_PR*.json trajectory points are never overwritten by default.
+BENCH_JSON ?= bench.json
 # bench-diff compares against the last committed trajectory point.
-BENCH_BASE ?= BENCH_PR9.json
+BENCH_BASE ?= BENCH_PR10.json
 
 .PHONY: build test test-short race bench bench-json bench-diff smoke-presets profile clean
 

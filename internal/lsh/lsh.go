@@ -9,13 +9,22 @@
 // projections onto random hyperplanes; vectors with small angular distance
 // collide with high probability. A query probes its bucket in every table,
 // gathers candidates, and ranks them by exact cosine similarity.
+//
+// The query kernel allocates only the slice it returns. Add caches each
+// vector's norm, so scoring a candidate costs one dot product. Candidates
+// are visited table by table, each bucket in stored order, and
+// deduplicated with a bitset over vector indices. The top k are kept in a
+// typed min-heap that follows container/heap's sift rules, so ties resolve
+// exactly as a container/heap top-k would. The bitset and the heap are
+// per-query scratch, reused through a sync.Pool. Query is safe for
+// concurrent use; Add is not safe concurrently with Query.
 package lsh
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -26,8 +35,9 @@ type Vector []float64
 // Dot returns the inner product of two equal-length vectors.
 func (v Vector) Dot(u Vector) float64 {
 	s := 0.0
-	for i := range v {
-		s += v[i] * u[i]
+	u = u[:len(v)] // one bounds check up front instead of one per element
+	for i, x := range v {
+		s += x * u[i]
 	}
 	return s
 }
@@ -55,11 +65,19 @@ type Config struct {
 // Index is an LSH index over cosine similarity. Build once with Add, then
 // Query concurrently (Add is not safe concurrently with Query).
 type Index struct {
-	cfg    Config
-	planes [][]Vector // [table][bit] hyperplane normals
-	tables []map[uint64][]int
-	data   []Vector
-	ids    []string
+	cfg     Config
+	planes  [][]Vector // [table][bit] hyperplane normals
+	tables  []map[uint64][]int
+	data    []Vector
+	norms   []float64 // norms[i] = data[i].Norm(), cached at Add
+	ids     []string
+	scratch sync.Pool // *queryScratch
+}
+
+// queryScratch is the per-query working set Query borrows from the pool.
+type queryScratch struct {
+	seen []uint64 // bitset over vector indices, all zero between queries
+	top  topK
 }
 
 // New creates an empty index.
@@ -102,13 +120,15 @@ func (idx *Index) signature(t int, v Vector) uint64 {
 	return sig
 }
 
-// Add indexes a vector under an identifier. The vector is not copied.
+// Add indexes a vector under an identifier. The vector is not copied and
+// must not be modified afterwards: its norm is cached here.
 func (idx *Index) Add(id string, v Vector) error {
 	if len(v) != idx.cfg.Dim {
 		return fmt.Errorf("lsh: vector dimension %d ≠ index dimension %d", len(v), idx.cfg.Dim)
 	}
 	n := len(idx.data)
 	idx.data = append(idx.data, v)
+	idx.norms = append(idx.norms, v.Norm())
 	idx.ids = append(idx.ids, id)
 	for t := range idx.tables {
 		sig := idx.signature(t, v)
@@ -139,36 +159,57 @@ func (idx *Index) Query(q Vector, k int) ([]Result, QueryStats, error) {
 	if k < 1 {
 		return nil, QueryStats{}, fmt.Errorf("lsh: k must be ≥1, got %d", k)
 	}
+	s, _ := idx.scratch.Get().(*queryScratch)
+	if s == nil {
+		s = &queryScratch{}
+	}
+	if words := (len(idx.data) + 63) / 64; len(s.seen) < words {
+		s.seen = make([]uint64, words)
+	}
+	top := s.top[:0]
 	var stats QueryStats
-	seen := make(map[int]struct{})
-	h := &resultHeap{}
-	heap.Init(h)
+	nq := q.Norm()
 	for t := range idx.tables {
-		sig := idx.signature(t, q)
-		bucket := idx.tables[t][sig]
+		bucket := idx.tables[t][idx.signature(t, q)]
 		if len(bucket) > 0 {
 			stats.Probes++
 		}
 		for _, i := range bucket {
-			if _, dup := seen[i]; dup {
+			w, bit := i/64, uint64(1)<<(i%64)
+			if s.seen[w]&bit != 0 {
 				continue
 			}
-			seen[i] = struct{}{}
-			sim := CosineSimilarity(q, idx.data[i])
-			if h.Len() < k {
-				heap.Push(h, Result{ID: idx.ids[i], Similarity: sim})
-			} else if sim > (*h)[0].Similarity {
-				(*h)[0] = Result{ID: idx.ids[i], Similarity: sim}
-				heap.Fix(h, 0)
+			s.seen[w] |= bit
+			stats.Candidates++
+			sim := idx.score(q, nq, i)
+			if len(top) < k {
+				top = top.push(scored{i, sim})
+			} else if sim > top[0].sim {
+				top[0] = scored{i, sim}
+				top.down(0)
 			}
 		}
 	}
-	stats.Candidates = len(seen)
-	out := make([]Result, h.Len())
+	out := make([]Result, len(top))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Result)
+		var c scored
+		top, c = top.pop()
+		out[i] = Result{ID: idx.ids[c.i], Similarity: c.sim}
 	}
+	clear(s.seen)
+	s.top = top
+	idx.scratch.Put(s)
 	return out, stats, nil
+}
+
+// score is CosineSimilarity(q, data[i]) with both norms precomputed; the
+// expression is the same, so the bits are too.
+func (idx *Index) score(q Vector, nq float64, i int) float64 {
+	ni := idx.norms[i]
+	if nq == 0 || ni == 0 {
+		return 0
+	}
+	return q.Dot(idx.data[i]) / (nq * ni)
 }
 
 // BruteForce returns the exact top-k by scanning every vector — the
@@ -177,9 +218,10 @@ func (idx *Index) BruteForce(q Vector, k int) ([]Result, error) {
 	if len(q) != idx.cfg.Dim {
 		return nil, fmt.Errorf("lsh: query dimension %d ≠ index dimension %d", len(q), idx.cfg.Dim)
 	}
+	nq := q.Norm()
 	all := make([]Result, len(idx.data))
 	for i := range idx.data {
-		all[i] = Result{ID: idx.ids[i], Similarity: CosineSimilarity(q, idx.data[i])}
+		all[i] = Result{ID: idx.ids[i], Similarity: idx.score(q, nq, i)}
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].Similarity > all[b].Similarity })
 	if k > len(all) {
@@ -206,14 +248,55 @@ func Recall(lshResults, exact []Result) float64 {
 	return float64(hits) / float64(len(exact))
 }
 
-// resultHeap is a min-heap by similarity (root = weakest of the top-k).
-type resultHeap []Result
+// scored is one candidate: its index in data and its similarity.
+type scored struct {
+	i   int
+	sim float64
+}
 
-func (h resultHeap) Len() int           { return len(h) }
-func (h resultHeap) Less(i, j int) bool { return h[i].Similarity < h[j].Similarity }
-func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() any          { old := *h; n := len(old); r := old[n-1]; *h = old[:n-1]; return r }
+// topK is a min-heap by similarity (root = weakest of the top k). Its
+// sift rules are container/heap's, which fixes the order of exact ties.
+type topK []scored
+
+// push adds c and sifts it towards the root.
+func (h topK) push(c scored) topK {
+	h = append(h, c)
+	for j := len(h) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !(h[j].sim < h[p].sim) {
+			break
+		}
+		h[p], h[j] = h[j], h[p]
+		j = p
+	}
+	return h
+}
+
+// down sifts h[i] towards the leaves.
+func (h topK) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].sim < h[j].sim {
+			j = r
+		}
+		if !(h[j].sim < h[i].sim) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// pop removes and returns the root.
+func (h topK) pop() (topK, scored) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	h[:n].down(0)
+	return h[:n], h[n]
+}
 
 // GenerateDataset creates n random unit-ish vectors for tests, benchmarks,
 // and the HDSearch service model, clustered so LSH has structure to find:
