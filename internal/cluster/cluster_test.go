@@ -16,8 +16,11 @@ import (
 
 // --- Router policies ---
 
-func kvReq(key string) *services.Request {
-	return &services.Request{HasKV: true, KV: workload.KVRequest{Op: workload.OpGet, Key: key}}
+// kvReq builds a GET for the ETC key of the given rank, addressed both
+// ways as ETC.Next addresses it.
+func kvReq(rank int) *services.Request {
+	key := workload.ETCKeys(rank + 1)[rank]
+	return &services.Request{HasKV: true, KV: workload.KVRequest{Op: workload.OpGet, Key: key, Rank: rank}}
 }
 
 func TestNewRouter(t *testing.T) {
@@ -37,7 +40,7 @@ func TestRoundRobinCycles(t *testing.T) {
 	r.Resize(3)
 	out := make([]int, 3)
 	for i := 0; i < 9; i++ {
-		if got := r.Pick(kvReq("k"), out); got != i%3 {
+		if got := r.Pick(kvReq(0), out); got != i%3 {
 			t.Fatalf("pick %d = %d, want %d", i, got, i%3)
 		}
 	}
@@ -47,11 +50,11 @@ func TestLeastOutstandingPicksArgmin(t *testing.T) {
 	r, _ := NewRouter(RouterLeastOutstanding)
 	r.Reset(rng.New(1))
 	r.Resize(3)
-	if got := r.Pick(kvReq("k"), []int{2, 0, 1}); got != 1 {
+	if got := r.Pick(kvReq(0), []int{2, 0, 1}); got != 1 {
 		t.Errorf("pick = %d, want 1", got)
 	}
 	// Ties break to the lowest index.
-	if got := r.Pick(kvReq("k"), []int{1, 1, 1}); got != 0 {
+	if got := r.Pick(kvReq(0), []int{1, 1, 1}); got != 0 {
 		t.Errorf("tie pick = %d, want 0", got)
 	}
 }
@@ -63,12 +66,12 @@ func TestConsistentHashDeterministicAndKeyStable(t *testing.T) {
 	out := make([]int, 4)
 	keys := workload.ETCKeys(512)
 	first := make([]int, len(keys))
-	for i, k := range keys {
-		first[i] = r.Pick(kvReq(k), out)
+	for i := range keys {
+		first[i] = r.Pick(kvReq(i), out)
 	}
 	// Same key → same replica, regardless of interleaving.
 	for i, k := range keys {
-		if got := r.Pick(kvReq(k), out); got != first[i] {
+		if got := r.Pick(kvReq(i), out); got != first[i] {
 			t.Fatalf("key %q moved %d → %d within a run", k, first[i], got)
 		}
 	}
@@ -77,8 +80,8 @@ func TestConsistentHashDeterministicAndKeyStable(t *testing.T) {
 	r2.Reset(rng.New(7))
 	r2.Resize(4)
 	same := true
-	for i, k := range keys {
-		if r2.Pick(kvReq(k), out) != first[i] {
+	for i := range keys {
+		if r2.Pick(kvReq(i), out) != first[i] {
 			same = false
 			break
 		}
@@ -95,14 +98,14 @@ func TestConsistentHashStableUnderResize(t *testing.T) {
 	out3, out4 := make([]int, 3), make([]int, 4)
 	keys := workload.ETCKeys(2000)
 	before := make([]int, len(keys))
-	for i, k := range keys {
-		before[i] = r.Pick(kvReq(k), out3)
+	for i := range keys {
+		before[i] = r.Pick(kvReq(i), out3)
 	}
 	// Adding replica 3 must only move keys onto the new replica.
 	r.Resize(4)
 	moved := 0
 	for i, k := range keys {
-		got := r.Pick(kvReq(k), out4)
+		got := r.Pick(kvReq(i), out4)
 		if got != before[i] {
 			if got != 3 {
 				t.Fatalf("key %q moved %d → %d on scale-out (not to the new replica)", k, before[i], got)
@@ -119,7 +122,7 @@ func TestConsistentHashStableUnderResize(t *testing.T) {
 	// Removing it restores the original mapping exactly.
 	r.Resize(3)
 	for i, k := range keys {
-		if got := r.Pick(kvReq(k), out3); got != before[i] {
+		if got := r.Pick(kvReq(i), out3); got != before[i] {
 			t.Fatalf("key %q at %d after scale-in, want %d", k, got, before[i])
 		}
 	}
@@ -510,7 +513,7 @@ func BenchmarkClusterRoute(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				req.KV.Key = keys[i&4095]
+				req.KV.Key, req.KV.Rank = keys[i&4095], i&4095
 				req.Conn = i
 				picked := router.Pick(req, outstanding)
 				outstanding[picked] = (outstanding[picked] + 1) & 7

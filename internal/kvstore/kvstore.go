@@ -1,13 +1,13 @@
 // Package kvstore implements a memcached-like in-memory key-value store:
 // a sharded hash table with per-shard LRU eviction, optional TTL expiry,
-// and hit/miss statistics.
+// and hit/miss statistics. Its measured per-operation CPU cost calibrates
+// the ~10 µs service-time scale the paper cites for Memcached ([4], [7]).
 //
-// The store plays two roles in the reproduction. First, it is the real data
-// path behind the simulated Memcached service: the service model executes
-// actual Get/Set operations against a populated store, so cache behaviour
-// (hits, misses, evictions) is genuine rather than assumed. Second, its
-// measured per-operation CPU cost calibrates the ~10 µs service-time scale
-// the paper cites for Memcached ([4], [7]).
+// The simulated Memcached service runs on the package's other half
+// (snapshot.go): a frozen, rank-addressed table of preloaded value sizes
+// and per-instance copy-on-write forks of it. The service executes every
+// GET and SET against its fork, so hits, misses and the stored value's
+// size are genuine rather than assumed.
 package kvstore
 
 import (

@@ -1,262 +1,173 @@
-// Copy-on-write snapshots. A Snapshot freezes a Store's contents into an
-// immutable base layer; Fork derives cheap mutable overlays from it. The
-// pattern is what lets N concurrent Memcached experiment cells share one
-// preloaded key space instead of N private copies: the preload is snapshot
-// once, every cell forks it, and a run reset is "drop the overlay" instead
-// of replaying the run's dirty keys.
+// Rank-addressed copy-on-write snapshots. A Snapshot is a frozen key
+// space: one value size per key, indexed by the key's integer rank
+// (for the ETC workload, its popularity rank). Fork derives cheap
+// mutable overlays from it. The pattern is what lets N concurrent
+// Memcached experiment cells share one preloaded key space instead of N
+// private copies: the preload is built once, every cell forks it, and a
+// run reset advances the overlay's generation instead of replaying the
+// run's dirty keys.
+//
+// The simulated service prices a request by the size of the value it
+// touches and never reads the bytes, so the table stores sizes, not
+// values, and a lookup is a slice index rather than a string hash.
 
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
 
-// snapEntry is one frozen item of a Snapshot.
-type snapEntry struct {
-	value     []byte
-	expiresAt int64 // virtual nanoseconds; 0 = no expiry
-}
+// ErrRankRange reports a write to a rank outside the snapshot's key
+// space. Reads of such ranks are plain misses.
+var ErrRankRange = errors.New("kvstore: key rank outside the key space")
 
-// Snapshot is an immutable point-in-time copy of a Store's contents.
-// Values are deep-copied at snapshot time, so the origin store may keep
-// mutating afterwards. A Snapshot carries no locks and is safe for
-// unlimited concurrent readers — which is exactly how sibling Forks use
-// it.
-//
-// The base layer is frozen in every sense: no LRU recency reordering, no
-// eviction, no TTL removal happen on it. Expiry of a base entry is
-// observed per Fork (the fork records the expiration and masks the entry
-// with a tombstone in its own overlay).
+// Snapshot is an immutable table of value sizes indexed by key rank. It
+// carries no locks and is safe for unlimited concurrent readers — which
+// is exactly how sibling Forks use it.
 type Snapshot struct {
-	items map[string]snapEntry
+	sizes []int32
 	bytes int64
 }
 
-// Snapshot freezes the store's current contents into an immutable base
-// layer. Expired-but-unevicted entries are frozen as they are; each Fork
-// applies TTL checks against its caller's own virtual clock.
-func (s *Store) Snapshot() *Snapshot {
-	sn := &Snapshot{items: make(map[string]snapEntry)}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for k, e := range sh.items {
-			sn.items[k] = snapEntry{value: append([]byte(nil), e.value...), expiresAt: e.expiresAt}
-			sn.bytes += int64(len(e.value))
-		}
-		sh.mu.Unlock()
+// NewSnapshot builds a snapshot of keys entries. size is called once per
+// rank, in increasing rank order, and returns that key's value size in
+// bytes; a size outside [0, MaxValueSize] fails the build. Calling size
+// in rank order lets a preload feed its value-size draws straight from
+// a random stream.
+func NewSnapshot(keys int, size func(rank int) int) (*Snapshot, error) {
+	if keys < 0 {
+		return nil, fmt.Errorf("kvstore: negative key count %d", keys)
 	}
-	return sn
+	sn := &Snapshot{sizes: make([]int32, keys)}
+	for rank := range sn.sizes {
+		n := size(rank)
+		if err := checkSize(n); err != nil {
+			return nil, fmt.Errorf("rank %d: %w", rank, err)
+		}
+		sn.sizes[rank] = int32(n)
+		sn.bytes += int64(n)
+	}
+	return sn, nil
 }
 
-// Len returns the number of frozen items.
-func (sn *Snapshot) Len() int { return len(sn.items) }
+func checkSize(n int) error {
+	if n < 0 {
+		return fmt.Errorf("kvstore: negative value size %d", n)
+	}
+	if n > MaxValueSize {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
+	return nil
+}
+
+// Len returns the number of keys: ranks [0, Len()) are present.
+func (sn *Snapshot) Len() int { return len(sn.sizes) }
 
 // Bytes returns the total frozen value bytes.
 func (sn *Snapshot) Bytes() int64 { return sn.bytes }
 
 // Fork derives a mutable copy-on-write view: reads fall through to the
-// snapshot, writes land in a private overlay sized by the number of keys
-// actually touched. Forks of the same snapshot are fully independent —
-// one fork's writes, deletes and expirations are invisible to its
-// siblings and to the base.
+// snapshot, writes land in a private overlay. Forks of the same
+// snapshot are fully independent — one fork's writes are invisible to
+// its siblings and to the base.
 func (sn *Snapshot) Fork() *Fork {
-	return &Fork{base: sn, overlay: make(map[string]overlayEntry), items: len(sn.items), bytes: sn.bytes}
+	return &Fork{base: sn, slots: make([]slot, len(sn.sizes)), gen: 1}
 }
 
-// overlayEntry is one overlay item; deleted marks a tombstone masking a
-// base entry.
-type overlayEntry struct {
-	value     []byte
-	expiresAt int64
-	deleted   bool
+// slot is one overlay entry; it is live only while gen equals its
+// fork's current generation.
+type slot struct {
+	size int32
+	gen  uint32
 }
 
-// Fork is a mutable overlay over an immutable Snapshot, presenting the
-// same Get/Set/Delete/Len/Bytes/Stats surface as Store. It is safe for
+// Fork is a mutable overlay over an immutable Snapshot. It is safe for
 // concurrent use, though the intended deployment is one fork per
 // experiment environment (a single sim-engine goroutine) with only the
 // shared base read concurrently.
 //
-// Semantics versus Store: the base layer is frozen, so a fork performs no
-// LRU bookkeeping and never evicts (its Stats.Evictions is always zero);
-// hit/miss/expiration counters are fork-scoped and accumulate for the
-// fork's lifetime (Reset drops data changes, not counters), mirroring how
-// a Store's counters persist across experiment runs.
+// Semantics versus Store: the key space is fixed (a write outside it is
+// an error, a read outside it a miss), there is no LRU bookkeeping, no
+// eviction and no TTL, so Stats reports only hits and misses. The
+// counters accumulate for the fork's lifetime (Reset drops data
+// changes, not counters), mirroring how a Store's counters persist
+// across experiment runs.
 type Fork struct {
-	mu      sync.Mutex
-	base    *Snapshot
-	overlay map[string]overlayEntry
-	items   int   // current visible item count
-	bytes   int64 // current visible value bytes
+	mu    sync.Mutex
+	base  *Snapshot
+	slots []slot // one per rank
+	gen   uint32 // current generation; never 0, so zeroed slots are dead
+	dirty int    // ranks written in the current generation
 
-	hits, misses, expirations uint64
+	hits, misses uint64
 }
 
 // Base returns the snapshot this fork overlays.
 func (f *Fork) Base() *Snapshot { return f.base }
 
-// visible returns the entry the fork currently presents for key, before
-// any TTL check, and whether one exists.
-func (f *Fork) visible(key string) (value []byte, expiresAt int64, ok bool) {
-	if oe, inOverlay := f.overlay[key]; inOverlay {
-		if oe.deleted {
-			return nil, 0, false
-		}
-		return oe.value, oe.expiresAt, true
-	}
-	if se, inBase := f.base.items[key]; inBase {
-		return se.value, se.expiresAt, true
-	}
-	return nil, 0, false
-}
-
-// Get returns a copy of the value visible under key. now is the caller's
-// virtual clock, used for TTL expiry; an expired entry is masked with a
-// tombstone so later reads (and Len/Bytes) agree it is gone.
-func (f *Fork) Get(key string, now int64) ([]byte, error) {
+// ValueSize returns the size in bytes of the value visible under rank,
+// counting a hit, or reports false and counts a miss when rank is
+// outside the key space.
+func (f *Fork) ValueSize(rank int) (int, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-
-	value, expiresAt, ok := f.visible(key)
-	if !ok {
+	if uint(rank) >= uint(len(f.base.sizes)) {
 		f.misses++
-		return nil, ErrNotFound
-	}
-	if expiresAt != 0 && now >= expiresAt {
-		f.overlay[key] = overlayEntry{deleted: true}
-		f.items--
-		f.bytes -= int64(len(value))
-		f.expirations++
-		f.misses++
-		return nil, ErrNotFound
+		return 0, false
 	}
 	f.hits++
-	return append([]byte(nil), value...), nil
-}
-
-// ValueSize returns the size in bytes of the value visible under key,
-// with exactly Get's hit/miss/TTL bookkeeping but without copying the
-// value out. It exists for cost models that price a hit by its payload
-// size (the Memcached service): on that per-request path the Get copy
-// was the last remaining allocation.
-func (f *Fork) ValueSize(key string, now int64) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-
-	value, expiresAt, ok := f.visible(key)
-	if !ok {
-		f.misses++
-		return 0, ErrNotFound
+	if s := f.slots[rank]; s.gen == f.gen {
+		return int(s.size), true
 	}
-	if expiresAt != 0 && now >= expiresAt {
-		f.overlay[key] = overlayEntry{deleted: true}
-		f.items--
-		f.bytes -= int64(len(value))
-		f.expirations++
-		f.misses++
-		return 0, ErrNotFound
-	}
-	f.hits++
-	return len(value), nil
+	return int(f.base.sizes[rank]), true
 }
 
-// Set stores value under key in the overlay with an optional expiry
-// (virtual nanoseconds; 0 = never). The value is copied.
-func (f *Fork) Set(key string, value []byte, expiresAt int64) error {
-	return f.set(key, value, expiresAt, true)
-}
-
-// SetShared is Set without the defensive copy: the fork stores the given
-// slice as-is, so the caller must guarantee it is never mutated for the
-// fork's lifetime. Intended for writers whose values are views of a
-// shared immutable buffer (the Memcached service's zero-filled payload
-// backing), where the per-write copy was pure allocation churn.
-func (f *Fork) SetShared(key string, value []byte, expiresAt int64) error {
-	return f.set(key, value, expiresAt, false)
-}
-
-func (f *Fork) set(key string, value []byte, expiresAt int64, copyValue bool) error {
-	if len(value) > MaxValueSize {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(value))
+// Set stores a value of size bytes under rank in the overlay.
+func (f *Fork) Set(rank, size int) error {
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-
-	if prev, _, ok := f.visible(key); ok {
-		f.bytes += int64(len(value)) - int64(len(prev))
-	} else {
-		f.items++
-		f.bytes += int64(len(value))
+	if uint(rank) >= uint(len(f.base.sizes)) {
+		return fmt.Errorf("%w: rank %d of %d", ErrRankRange, rank, len(f.base.sizes))
 	}
-	if copyValue {
-		value = append([]byte(nil), value...)
+	s := &f.slots[rank]
+	if s.gen != f.gen {
+		f.dirty++
 	}
-	f.overlay[key] = overlayEntry{value: value, expiresAt: expiresAt}
+	*s = slot{size: int32(size), gen: f.gen}
 	return nil
 }
 
-// Delete removes key from the fork's view, reporting whether it was
-// present. Base entries are masked with a tombstone; the base itself is
-// never modified.
-func (f *Fork) Delete(key string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-
-	value, _, ok := f.visible(key)
-	if !ok {
-		return false
-	}
-	if _, inBase := f.base.items[key]; inBase {
-		f.overlay[key] = overlayEntry{deleted: true}
-	} else {
-		delete(f.overlay, key)
-	}
-	f.items--
-	f.bytes -= int64(len(value))
-	return true
-}
-
-// Len returns the number of items the fork currently presents.
-func (f *Fork) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.items
-}
-
-// Bytes returns the value bytes the fork currently presents.
-func (f *Fork) Bytes() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.bytes
-}
-
-// Dirty returns the number of overlay entries (writes, deletes and
-// expiration tombstones) accumulated since the last Reset — the fork's
-// memory cost beyond the shared base.
+// Dirty returns the number of ranks written since the last Reset.
 func (f *Fork) Dirty() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.overlay)
+	return f.dirty
 }
 
-// Stats returns the fork's counters. Evictions is always zero: the base
-// is frozen and the overlay is unbounded.
+// Stats returns the fork's hit and miss counters.
 func (f *Fork) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return Stats{Hits: f.hits, Misses: f.misses, Expirations: f.expirations}
+	return Stats{Hits: f.hits, Misses: f.misses}
 }
 
-// Reset drops the overlay, returning the fork to the pristine snapshot
-// state. It replaces the per-key restore loop a mutable store needs after
-// a run: O(1) in the key-space size, O(dirty keys) for the garbage
-// collector. Counters are not cleared (they are lifetime statistics, as
-// on Store).
+// Reset returns the fork to the pristine snapshot state in O(1): it
+// advances the generation, which retires every overlay slot at once.
+// Only when the generation wraps are the slots cleared, so a slot
+// written 2^32 resets ago can never come back to life. Counters are not
+// cleared (they are lifetime statistics, as on Store).
 func (f *Fork) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	clear(f.overlay)
-	f.items = len(f.base.items)
-	f.bytes = f.base.bytes
+	f.gen++
+	if f.gen == 0 {
+		clear(f.slots)
+		f.gen = 1
+	}
+	f.dirty = 0
 }

@@ -1,92 +1,91 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
 
-// preloadedStore builds a store with n fixed-size entries.
-func preloadedStore(t testing.TB, n, valueSize int) *Store {
+// sizedSnapshot builds a snapshot of n keys, each valueSize bytes.
+func sizedSnapshot(t testing.TB, n, valueSize int) *Snapshot {
 	t.Helper()
-	s := New(Config{Shards: 64})
-	buf := make([]byte, valueSize)
-	for i := 0; i < n; i++ {
-		if err := s.Set(fmt.Sprintf("key-%06d", i), buf, 0); err != nil {
-			t.Fatal(err)
-		}
+	sn, err := NewSnapshot(n, func(int) int { return valueSize })
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s
+	return sn
+}
+
+// wantSize asserts that rank reads back as a hit of want bytes.
+func wantSize(t *testing.T, f *Fork, rank, want int) {
+	t.Helper()
+	if got, ok := f.ValueSize(rank); !ok || got != want {
+		t.Errorf("ValueSize(%d) = %d, %v; want %d, true", rank, got, ok, want)
+	}
 }
 
 func TestSnapshotIsDeepFrozen(t *testing.T) {
-	s := preloadedStore(t, 100, 32)
-	sn := s.Snapshot()
-	if sn.Len() != 100 || sn.Bytes() != 100*32 {
-		t.Fatalf("snapshot len=%d bytes=%d, want 100/3200", sn.Len(), sn.Bytes())
+	sizes := make([]int, 100)
+	for i := range sizes {
+		sizes[i] = 32
+	}
+	calls := 0
+	sn, err := NewSnapshot(len(sizes), func(rank int) int {
+		if rank != calls {
+			t.Fatalf("size called for rank %d, want %d (rank order)", rank, calls)
+		}
+		calls++
+		return sizes[rank]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 100 || sn.Len() != 100 || sn.Bytes() != 100*32 {
+		t.Fatalf("calls=%d len=%d bytes=%d, want 100/100/3200", calls, sn.Len(), sn.Bytes())
 	}
 
-	// Mutating the origin store after the snapshot must not leak through:
-	// overwrite (in place, same backing array path), delete, and add.
-	if err := s.Set("key-000000", make([]byte, 5), 0); err != nil {
-		t.Fatal(err)
-	}
-	s.Delete("key-000001")
-	if err := s.Set("post-snapshot", make([]byte, 7), 0); err != nil {
-		t.Fatal(err)
-	}
+	// Mutating the source of the sizes after the build must not leak
+	// through: the snapshot owns its table.
+	sizes[0], sizes[1] = 5, 7
 
 	f := sn.Fork()
-	if v, err := f.Get("key-000000", 0); err != nil || len(v) != 32 {
-		t.Errorf("frozen value changed: len=%d err=%v, want 32", len(v), err)
+	wantSize(t, f, 0, 32)
+	wantSize(t, f, 1, 32)
+	if _, ok := f.ValueSize(100); ok {
+		t.Error("rank past the key space reads as a hit")
 	}
-	if _, err := f.Get("key-000001", 0); err != nil {
-		t.Errorf("frozen entry lost to origin delete: %v", err)
+
+	// A size outside [0, MaxValueSize] fails the build.
+	if _, err := NewSnapshot(3, func(int) int { return MaxValueSize + 1 }); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversized preload value: want ErrTooLarge, got %v", err)
 	}
-	if _, err := f.Get("post-snapshot", 0); err != ErrNotFound {
-		t.Errorf("post-snapshot origin write visible in snapshot: %v", err)
+	if _, err := NewSnapshot(3, func(int) int { return -1 }); err == nil {
+		t.Error("negative preload value size accepted")
 	}
 }
 
 func TestForkWritesInvisibleToSiblingsAndBase(t *testing.T) {
-	s := preloadedStore(t, 50, 16)
-	sn := s.Snapshot()
+	sn := sizedSnapshot(t, 50, 16)
 	a, b := sn.Fork(), sn.Fork()
 
-	// Overwrite, add and delete in fork a.
-	if err := a.Set("key-000003", make([]byte, 99), 0); err != nil {
+	if err := a.Set(3, 99); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Set("only-in-a", make([]byte, 10), 0); err != nil {
+	if err := a.Set(4, 0); err != nil {
 		t.Fatal(err)
-	}
-	if !a.Delete("key-000004") {
-		t.Fatal("delete of visible base key reported absent")
 	}
 
 	// Fork a sees its own state.
-	if v, _ := a.Get("key-000003", 0); len(v) != 99 {
-		t.Errorf("a overwrite lost: len=%d", len(v))
-	}
-	if _, err := a.Get("key-000004", 0); err != ErrNotFound {
-		t.Errorf("a delete not applied: %v", err)
-	}
-	if a.Len() != 50 || a.Bytes() != 50*16-16+99-16+10 {
-		t.Errorf("a len=%d bytes=%d", a.Len(), a.Bytes())
-	}
+	wantSize(t, a, 3, 99)
+	wantSize(t, a, 4, 0)
+	wantSize(t, a, 5, 16)
 
 	// Sibling b sees the pristine base.
-	if v, _ := b.Get("key-000003", 0); len(v) != 16 {
-		t.Errorf("sibling sees a's overwrite: len=%d", len(v))
-	}
-	if _, err := b.Get("key-000004", 0); err != nil {
-		t.Errorf("sibling sees a's delete: %v", err)
-	}
-	if _, err := b.Get("only-in-a", 0); err != ErrNotFound {
-		t.Errorf("sibling sees a's insert: %v", err)
-	}
-	if b.Len() != 50 || b.Bytes() != 50*16 {
-		t.Errorf("b len=%d bytes=%d, want pristine 50/800", b.Len(), b.Bytes())
+	for rank := 0; rank < 50; rank++ {
+		wantSize(t, b, rank, 16)
 	}
 
 	// The base itself is untouched.
@@ -94,107 +93,169 @@ func TestForkWritesInvisibleToSiblingsAndBase(t *testing.T) {
 		t.Errorf("base mutated: len=%d bytes=%d", sn.Len(), sn.Bytes())
 	}
 
-	// Deleting a fork-only key removes the overlay entry entirely.
-	if !a.Delete("only-in-a") {
-		t.Error("fork-only key delete reported absent")
+	// Counters are per fork.
+	if st := a.Stats(); st.Hits != 3 || st.Misses != 0 {
+		t.Errorf("a stats = %+v, want 3 hits", st)
 	}
-	if a.Delete("only-in-a") {
-		t.Error("double delete reported present")
-	}
-}
-
-func TestForkTTLAcrossLayers(t *testing.T) {
-	s := New(Config{})
-	if err := s.Set("ttl", make([]byte, 8), 100); err != nil {
-		t.Fatal(err)
-	}
-	sn := s.Snapshot()
-	a, b := sn.Fork(), sn.Fork()
-
-	// Before expiry: hit.
-	if _, err := a.Get("ttl", 99); err != nil {
-		t.Fatalf("pre-expiry get: %v", err)
-	}
-	// At expiry: miss + expiration, and the entry is gone from a's view.
-	if _, err := a.Get("ttl", 100); err != ErrNotFound {
-		t.Fatalf("expired get: %v", err)
-	}
-	if _, err := a.Get("ttl", 0); err != ErrNotFound {
-		t.Error("tombstone not persisted after expiry")
-	}
-	if a.Len() != 0 || a.Bytes() != 0 {
-		t.Errorf("a len=%d bytes=%d after expiry, want 0/0", a.Len(), a.Bytes())
-	}
-	st := a.Stats()
-	if st.Hits != 1 || st.Misses != 2 || st.Expirations != 1 || st.Evictions != 0 {
-		t.Errorf("a stats = %+v", st)
-	}
-
-	// The sibling's clock is independent: b still sees the entry before
-	// its own expiry observation, and b's counters are untouched by a.
-	if _, err := b.Get("ttl", 50); err != nil {
-		t.Errorf("sibling lost entry to a's expiration: %v", err)
-	}
-	if st := b.Stats(); st.Hits != 1 || st.Misses != 0 || st.Expirations != 0 {
-		t.Errorf("b stats = %+v", st)
-	}
-
-	// An overlay write can expire too.
-	if err := b.Set("ow", make([]byte, 4), 200); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Get("ow", 300); err != ErrNotFound {
-		t.Errorf("overlay TTL not applied: %v", err)
-	}
-	if st := b.Stats(); st.Expirations != 1 {
-		t.Errorf("overlay expiration not counted: %+v", st)
+	if st := b.Stats(); st.Hits != 50 || st.Misses != 0 {
+		t.Errorf("b stats = %+v, want 50 hits", st)
 	}
 }
 
 func TestForkResetDropsOverlay(t *testing.T) {
-	s := preloadedStore(t, 40, 16)
-	sn := s.Snapshot()
+	sn := sizedSnapshot(t, 40, 16)
 	f := sn.Fork()
 
 	for i := 0; i < 10; i++ {
-		if err := f.Set(fmt.Sprintf("key-%06d", i), make([]byte, 50), 0); err != nil {
+		if err := f.Set(i, 50); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f.Delete("key-000020")
-	if err := f.Set("extra", make([]byte, 5), 0); err != nil {
+	if err := f.Set(3, 51); err != nil { // rewrite: still one dirty rank
 		t.Fatal(err)
 	}
-	if f.Dirty() != 12 {
-		t.Errorf("dirty = %d, want 12", f.Dirty())
+	if f.Dirty() != 10 {
+		t.Errorf("dirty = %d, want 10", f.Dirty())
 	}
 
 	f.Reset()
 	if f.Dirty() != 0 {
 		t.Errorf("dirty after reset = %d", f.Dirty())
 	}
-	if f.Len() != 40 || f.Bytes() != 40*16 {
-		t.Errorf("after reset len=%d bytes=%d, want pristine 40/640", f.Len(), f.Bytes())
+	for rank := 0; rank < 40; rank++ {
+		wantSize(t, f, rank, 16)
 	}
-	if v, err := f.Get("key-000000", 0); err != nil || len(v) != 16 {
-		t.Errorf("after reset value len=%d err=%v, want preloaded 16", len(v), err)
+
+	// The overlay is reusable after a reset.
+	if err := f.Set(3, 8); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := f.Get("key-000020", 0); err != nil {
-		t.Errorf("after reset deleted key still masked: %v", err)
-	}
-	if _, err := f.Get("extra", 0); err != ErrNotFound {
-		t.Errorf("after reset overlay insert survived: %v", err)
+	wantSize(t, f, 3, 8)
+	if f.Dirty() != 1 {
+		t.Errorf("dirty after reuse = %d, want 1", f.Dirty())
 	}
 }
 
 func TestForkRejectsOversizedValue(t *testing.T) {
-	sn := New(Config{}).Snapshot()
+	sn := sizedSnapshot(t, 4, 16)
 	f := sn.Fork()
-	if err := f.Set("big", make([]byte, MaxValueSize+1), 0); err == nil {
-		t.Error("oversized value accepted")
+	if err := f.Set(0, MaxValueSize+1); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversized value: want ErrTooLarge, got %v", err)
 	}
-	if f.Len() != 0 || f.Bytes() != 0 {
-		t.Errorf("rejected set mutated fork: len=%d bytes=%d", f.Len(), f.Bytes())
+	if err := f.Set(0, -1); err == nil {
+		t.Error("negative value size accepted")
+	}
+	for _, rank := range []int{-1, 4} {
+		if err := f.Set(rank, 8); !errors.Is(err, ErrRankRange) {
+			t.Errorf("Set(%d): want ErrRankRange, got %v", rank, err)
+		}
+	}
+	if f.Dirty() != 0 {
+		t.Errorf("rejected sets dirtied the fork: %d", f.Dirty())
+	}
+	wantSize(t, f, 0, 16)
+	if err := f.Set(1, MaxValueSize); err != nil {
+		t.Errorf("value at the size limit rejected: %v", err)
+	}
+}
+
+// TestForkGenerationWraparound pins the one non-O(1) path of Reset: when
+// the generation wraps, slots stamped with an old generation must not
+// come back to life.
+func TestForkGenerationWraparound(t *testing.T) {
+	sn := sizedSnapshot(t, 8, 16)
+	f := sn.Fork()
+
+	// Stamp rank 3 with generation 1, then jump to the last generation
+	// as if 2^32−2 resets had happened.
+	if err := f.Set(3, 300); err != nil {
+		t.Fatal(err)
+	}
+	f.gen = math.MaxUint32 - 1
+	f.dirty = 0
+	if err := f.Set(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	f.Reset() // gen = MaxUint32
+	if err := f.Set(2, 200); err != nil {
+		t.Fatal(err)
+	}
+	wantSize(t, f, 1, 16)
+	wantSize(t, f, 2, 200)
+	wantSize(t, f, 3, 16)
+
+	f.Reset() // wraps back to generation 1
+	if f.gen != 1 {
+		t.Fatalf("generation after wrap = %d, want 1", f.gen)
+	}
+	if f.Dirty() != 0 {
+		t.Errorf("dirty after wrap = %d", f.Dirty())
+	}
+	for rank := 0; rank < 8; rank++ {
+		wantSize(t, f, rank, 16) // rank 3 in particular: no revival
+	}
+
+	if err := f.Set(4, 5); err != nil {
+		t.Fatal(err)
+	}
+	wantSize(t, f, 4, 5)
+	if f.Dirty() != 1 {
+		t.Errorf("dirty after a post-wrap set = %d, want 1", f.Dirty())
+	}
+}
+
+// TestForkMatchesStringKeyedReference runs random GET/SET/Reset scripts
+// against the rank table and the string-keyed fork it replaced, built
+// from the same preload, and requires the same outcome for every
+// operation and the same counters.
+func TestForkMatchesStringKeyedReference(t *testing.T) {
+	const keys = 64
+	key := func(rank int) string { return fmt.Sprintf("etc-%012d", rank) }
+	zero := make([]byte, MaxValueSize+1)
+
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		sizes := make([]int, keys)
+		store := New(Config{Shards: 8})
+		for rank := range sizes {
+			sizes[rank] = 1 + rnd.Intn(2000)
+			if err := store.Set(key(rank), zero[:sizes[rank]], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref := refSnapshotOf(store).fork()
+		sn, err := NewSnapshot(keys, func(rank int) int { return sizes[rank] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := sn.Fork()
+
+		for step := 0; step < 2000; step++ {
+			switch op := rnd.Intn(100); {
+			case op < 70: // GET, sometimes outside the key space
+				rank := rnd.Intn(keys+6) - 3
+				want, refErr := ref.valueSize(key(rank))
+				got, ok := f.ValueSize(rank)
+				if ok != (refErr == nil) || got != want {
+					t.Fatalf("seed %d step %d: GET %d = %d, %v; reference %d, %v", seed, step, rank, got, ok, want, refErr)
+				}
+			case op < 97: // SET, sometimes over the size limit
+				rank, size := rnd.Intn(keys), rnd.Intn(3000)
+				if rnd.Intn(50) == 0 {
+					size = MaxValueSize + 1
+				}
+				refErr := ref.setShared(key(rank), zero[:size])
+				if err := f.Set(rank, size); (err == nil) != (refErr == nil) {
+					t.Fatalf("seed %d step %d: SET %d size %d: err %v, reference %v", seed, step, rank, size, err, refErr)
+				}
+			default:
+				ref.reset()
+				f.Reset()
+			}
+		}
+		if got, want := f.Stats(), ref.stats(); got != want {
+			t.Fatalf("seed %d: stats %+v, reference %+v", seed, got, want)
+		}
 	}
 }
 
@@ -202,8 +263,7 @@ func TestForkRejectsOversizedValue(t *testing.T) {
 // goroutines (run under -race): sibling isolation must hold with the base
 // read concurrently and each fork mutated from its own goroutine.
 func TestConcurrentForks(t *testing.T) {
-	s := preloadedStore(t, 200, 24)
-	sn := s.Snapshot()
+	sn := sizedSnapshot(t, 200, 24)
 
 	const forks = 8
 	var wg sync.WaitGroup
@@ -215,26 +275,24 @@ func TestConcurrentForks(t *testing.T) {
 			f := sn.Fork()
 			mySize := 10 + g
 			for round := 0; round < 50; round++ {
-				for i := 0; i < 20; i++ {
-					key := fmt.Sprintf("key-%06d", i)
-					if err := f.Set(key, make([]byte, mySize), 0); err != nil {
+				for rank := 0; rank < 20; rank++ {
+					if err := f.Set(rank, mySize); err != nil {
 						errs <- err
 						return
 					}
-					v, err := f.Get(key, 0)
-					if err != nil || len(v) != mySize {
-						errs <- fmt.Errorf("fork %d: got len=%d err=%v, want %d", g, len(v), err, mySize)
+					if n, ok := f.ValueSize(rank); !ok || n != mySize {
+						errs <- fmt.Errorf("fork %d: got %d, %v; want %d", g, n, ok, mySize)
 						return
 					}
 				}
-				// Untouched keys must always read back pristine.
-				if v, err := f.Get("key-000100", 0); err != nil || len(v) != 24 {
-					errs <- fmt.Errorf("fork %d: pristine key len=%d err=%v", g, len(v), err)
+				// Untouched ranks must always read back pristine.
+				if n, ok := f.ValueSize(100); !ok || n != 24 {
+					errs <- fmt.Errorf("fork %d: pristine rank %d, %v", g, n, ok)
 					return
 				}
 				f.Reset()
-				if f.Len() != 200 {
-					errs <- fmt.Errorf("fork %d: len=%d after reset", g, f.Len())
+				if n, ok := f.ValueSize(0); !ok || n != 24 {
+					errs <- fmt.Errorf("fork %d: rank 0 = %d, %v after reset", g, n, ok)
 					return
 				}
 			}
@@ -254,8 +312,8 @@ func TestConcurrentForks(t *testing.T) {
 // one concurrent Memcached-style sweep cell its own view of a 100k-key
 // preloaded store. cow-fork is the copy-on-write path (fork the shared
 // snapshot, dirty ~1k keys like a run's SETs, reset); full-preload is the
-// pre-snapshot path (every cell rebuilds and re-preloads a private
-// store). Compare B/op and allocs/op between the two.
+// unshared path (every cell rebuilds and re-preloads a private store).
+// Compare B/op and allocs/op between the two.
 func BenchmarkSweepMemoryPerCell(b *testing.B) {
 	const (
 		keys      = 100_000
@@ -263,26 +321,14 @@ func BenchmarkSweepMemoryPerCell(b *testing.B) {
 		dirty     = 1_000
 	)
 
-	buildStore := func() *Store {
-		s := New(Config{Shards: 64})
-		buf := make([]byte, valueSize)
-		for i := 0; i < keys; i++ {
-			if err := s.Set(fmt.Sprintf("etc-%012d", i), buf, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return s
-	}
-
 	b.Run("cow-fork", func(b *testing.B) {
-		sn := buildStore().Snapshot()
-		val := make([]byte, valueSize)
+		sn := sizedSnapshot(b, keys, valueSize)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f := sn.Fork()
-			for k := 0; k < dirty; k++ {
-				if err := f.Set(fmt.Sprintf("etc-%012d", k), val, 0); err != nil {
+			for rank := 0; rank < dirty; rank++ {
+				if err := f.Set(rank, valueSize); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -292,104 +338,17 @@ func BenchmarkSweepMemoryPerCell(b *testing.B) {
 
 	b.Run("full-preload", func(b *testing.B) {
 		b.ReportAllocs()
+		buf := make([]byte, valueSize)
 		for i := 0; i < b.N; i++ {
-			s := buildStore()
+			s := New(Config{Shards: 64})
+			for k := 0; k < keys; k++ {
+				if err := s.Set(fmt.Sprintf("etc-%012d", k), buf, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
 			if s.Len() != keys {
 				b.Fatal("preload incomplete")
 			}
 		}
 	})
-}
-
-// TestForkValueSizeMatchesGet pins the allocation-free sized lookup
-// against the reference Get on every layering case: base hit, overlay
-// hit, miss, tombstone, and TTL expiry (including the expiry's
-// bookkeeping side effects).
-func TestForkValueSizeMatchesGet(t *testing.T) {
-	s := preloadedStore(t, 10, 32)
-	sn := s.Snapshot()
-
-	// Each case prepares two forks identically: one looked up through
-	// Get (reference), one through ValueSize.
-	mk := func() (*Fork, *Fork) { return sn.Fork(), sn.Fork() }
-
-	// Base hit.
-	a, b := mk()
-	v, err1 := a.Get("key-000003", 0)
-	n, err2 := b.ValueSize("key-000003", 0)
-	if err1 != nil || err2 != nil || n != len(v) {
-		t.Fatalf("base hit: Get len=%d err=%v, ValueSize=%d err=%v", len(v), err1, n, err2)
-	}
-
-	// Overlay hit.
-	a, b = mk()
-	for _, f := range []*Fork{a, b} {
-		if err := f.Set("key-000003", make([]byte, 7), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, err1 = a.Get("key-000003", 0)
-	n, err2 = b.ValueSize("key-000003", 0)
-	if err1 != nil || err2 != nil || n != 7 || len(v) != 7 {
-		t.Fatalf("overlay hit: Get len=%d err=%v, ValueSize=%d err=%v", len(v), err1, n, err2)
-	}
-
-	// Miss.
-	a, b = mk()
-	if _, err := a.Get("absent", 0); err != ErrNotFound {
-		t.Fatalf("Get miss: %v", err)
-	}
-	if _, err := b.ValueSize("absent", 0); err != ErrNotFound {
-		t.Fatalf("ValueSize miss: %v", err)
-	}
-
-	// TTL expiry: both forms must tombstone, count the expiration, and
-	// report a miss.
-	a, b = mk()
-	for _, f := range []*Fork{a, b} {
-		if err := f.Set("ttl", make([]byte, 5), 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.Get("ttl", 200); err != ErrNotFound {
-		t.Fatalf("Get after expiry: %v", err)
-	}
-	if _, err := b.ValueSize("ttl", 200); err != ErrNotFound {
-		t.Fatalf("ValueSize after expiry: %v", err)
-	}
-	sa, sb := a.Stats(), b.Stats()
-	if sa != sb {
-		t.Fatalf("stats diverge: Get path %+v, ValueSize path %+v", sa, sb)
-	}
-	if a.Len() != b.Len() || a.Dirty() != b.Dirty() {
-		t.Fatalf("bookkeeping diverges: len %d/%d dirty %d/%d", a.Len(), b.Len(), a.Dirty(), b.Dirty())
-	}
-}
-
-// TestForkSetShared pins ownership-transfer semantics: the stored slice
-// is the caller's (no copy), size accounting matches Set, and reads see
-// the shared bytes.
-func TestForkSetShared(t *testing.T) {
-	s := preloadedStore(t, 4, 16)
-	sn := s.Snapshot()
-	f := sn.Fork()
-
-	shared := make([]byte, 64)
-	if err := f.SetShared("key-000001", shared[:48], 0); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := f.ValueSize("key-000001", 0); err != nil || n != 48 {
-		t.Fatalf("ValueSize after SetShared = %d, %v; want 48", n, err)
-	}
-	if f.Bytes() != 3*16+48 {
-		t.Fatalf("Bytes = %d, want %d", f.Bytes(), 3*16+48)
-	}
-	if err := f.SetShared("huge", make([]byte, MaxValueSize+1), 0); err == nil {
-		t.Fatal("oversized SetShared accepted")
-	}
-	// Reset drops shared-slice overlay entries like any other.
-	f.Reset()
-	if n, err := f.ValueSize("key-000001", 0); err != nil || n != 16 {
-		t.Fatalf("after Reset: ValueSize = %d, %v; want pristine 16", n, err)
-	}
 }

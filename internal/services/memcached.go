@@ -32,11 +32,14 @@ const (
 //
 // The store is a copy-on-write fork of a preload snapshot shared by every
 // instance with the same workload parameters: the ETC key space is
-// preloaded once per process and frozen, each instance overlays its own
-// writes, and a run reset drops the overlay. That keeps run isolation —
-// SETs overwrite preloaded values and a GET's cost depends on the stored
-// value's size, so runs must each observe the pristine store (§III) —
-// while N concurrent sweep cells cost one preload instead of N.
+// preloaded once per process as a frozen table of value sizes indexed
+// by key rank, each instance overlays its own writes, and a run reset
+// drops the overlay. That keeps run isolation — SETs overwrite preloaded
+// values and a GET's cost depends on the stored value's size, so runs
+// must each observe the pristine store (§III) — while N concurrent sweep
+// cells cost one preload instead of N. Requests address the store by
+// their key's rank (workload.KVRequest.Rank); a rank outside the key
+// space is a GET miss.
 type Memcached struct {
 	machine *hw.Machine
 	tier    *Tier
@@ -44,22 +47,19 @@ type Memcached struct {
 	etcCfg  workload.ETCConfig
 }
 
-// memcachedZeroBuf backs preload and run-time Sets (the store copies the
-// value, so one read-only buffer serves every instance).
-var memcachedZeroBuf = make([]byte, kvstore.MaxValueSize)
-
 // preloadSnapshots caches the frozen preloaded key space per workload
 // configuration. Preloading is deterministic — a fixed labeled stream
 // drives the value-size draws — so instances sharing a configuration
-// would build byte-identical stores; they fork one snapshot instead.
+// would build identical tables; they fork one snapshot instead.
 var (
 	preloadMu        sync.Mutex
 	preloadSnapshots = map[workload.ETCConfig]*kvstore.Snapshot{}
 )
 
 // preloadSnapshot returns the shared frozen preload for etcCfg, building
-// it on first use. The lock is held across the build so concurrent
-// constructors wait for one preload rather than racing to duplicate it.
+// it on first use from one value-size draw per rank, in rank order. The
+// lock is held across the build so concurrent constructors wait for one
+// preload rather than racing to duplicate it.
 func preloadSnapshot(etcCfg workload.ETCConfig) (*kvstore.Snapshot, error) {
 	preloadMu.Lock()
 	defer preloadMu.Unlock()
@@ -70,15 +70,10 @@ func preloadSnapshot(etcCfg workload.ETCConfig) (*kvstore.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := kvstore.New(kvstore.Config{Shards: 64})
-	keys := workload.ETCKeys(etcCfg.Keys) // interned: shared with every generator
-	for i := 0; i < etcCfg.Keys; i++ {
-		size := etc.ValueSize()
-		if err := store.Set(keys[i], memcachedZeroBuf[:size], 0); err != nil {
-			return nil, err
-		}
+	sn, err := kvstore.NewSnapshot(etcCfg.Keys, func(int) int { return etc.ValueSize() })
+	if err != nil {
+		return nil, err
 	}
-	sn := store.Snapshot()
 	preloadSnapshots[etcCfg] = sn
 	return sn, nil
 }
@@ -191,23 +186,20 @@ func (m *Memcached) Arrive(req *Request, now sim.Time) {
 	req.ServerArrive = now
 
 	// Execute the real operation to determine outcome and response size.
-	// Both store calls are allocation-free: a GET's cost depends only on
-	// the stored value's size (ValueSize skips Get's copy-out), and SETs
-	// store views of the shared immutable zero buffer (SetShared skips
-	// the defensive copy).
+	// A GET's cost depends only on the stored value's size, so the store
+	// keeps sizes, addressed by the key's rank.
 	var cost time.Duration
 	switch kv.Op {
 	case workload.OpGet:
-		size, err := m.store.ValueSize(kv.Key, int64(now))
-		if err != nil {
-			cost = memcachedGetBase + memcachedMissAdj
-			req.ResponseBytes = 24 // miss response header
-		} else {
+		if size, ok := m.store.ValueSize(kv.Rank); ok {
 			cost = memcachedGetBase + time.Duration(float64(size)*memcachedPerByte)
 			req.ResponseBytes = 24 + size
+		} else {
+			cost = memcachedGetBase + memcachedMissAdj
+			req.ResponseBytes = 24 // miss response header
 		}
 	case workload.OpSet:
-		if err := m.store.SetShared(kv.Key, memcachedZeroBuf[:kv.ValueSize], 0); err != nil {
+		if err := m.store.Set(kv.Rank, kv.ValueSize); err != nil {
 			panic(fmt.Sprintf("services: memcached preloaded store rejected set: %v", err))
 		}
 		cost = memcachedSetBase + time.Duration(float64(kv.ValueSize)*memcachedPerByte)

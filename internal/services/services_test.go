@@ -32,6 +32,22 @@ func drive(t *testing.T, b Backend, payload any) (sim.Time, *Request) {
 	return departed, req
 }
 
+// kv builds the request ETC.Next emits for rank: the key both as a rank
+// and as its interned string.
+func kv(op workload.Op, rank, valueSize int) workload.KVRequest {
+	return workload.KVRequest{Op: op, Key: workload.ETCKeys(rank + 1)[rank], Rank: rank, ValueSize: valueSize}
+}
+
+// storedSize reads rank's current value size from m's store.
+func storedSize(t *testing.T, m *Memcached, rank int) int {
+	t.Helper()
+	size, ok := m.Store().ValueSize(rank)
+	if !ok {
+		t.Fatalf("rank %d missing from the store", rank)
+	}
+	return size
+}
+
 func TestMemcachedConfigValidation(t *testing.T) {
 	cfg := DefaultMemcachedConfig()
 	cfg.Workers = 0
@@ -56,7 +72,7 @@ func TestMemcachedServesGetAndSet(t *testing.T) {
 		t.Errorf("name = %s", m.Name())
 	}
 	// GET of a preloaded key: hit, service ≈ 10µs, response carries value.
-	dep, req := drive(t, m, workload.KVRequest{Op: workload.OpGet, Key: "etc-000000000042"})
+	dep, req := drive(t, m, kv(workload.OpGet, 42, 0))
 	if got := time.Duration(dep); got < 5*time.Microsecond || got > 60*time.Microsecond {
 		t.Errorf("GET service time %v, want ≈10µs", got)
 	}
@@ -67,17 +83,20 @@ func TestMemcachedServesGetAndSet(t *testing.T) {
 		t.Error("real store recorded no hit")
 	}
 
-	// GET of a missing key: miss, small response.
-	_, req = drive(t, m, workload.KVRequest{Op: workload.OpGet, Key: "absent"})
+	// GET of a rank past the key space: miss, small response.
+	misses := m.Store().Stats().Misses
+	_, req = drive(t, m, kv(workload.OpGet, cfg.Keys, 0))
 	if req.ResponseBytes != 24 {
 		t.Errorf("miss response = %d bytes, want 24", req.ResponseBytes)
 	}
+	if m.Store().Stats().Misses != misses+1 {
+		t.Error("real store recorded no miss")
+	}
 
-	// SET stores for real.
-	before := m.Store().Len()
-	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: "new-key", ValueSize: 128})
-	if m.Store().Len() != before+1 {
-		t.Error("SET did not store")
+	// SET stores for real: a later GET sees the written size.
+	drive(t, m, kv(workload.OpSet, 7, 128))
+	if got := storedSize(t, m, 7); got != 128 {
+		t.Errorf("after SET, stored size = %d, want 128", got)
 	}
 }
 
@@ -103,27 +122,20 @@ func TestMemcachedResetRunRestoresStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const key = "etc-000000000007"
-	orig, err := m.Store().Get(key, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const rank = 7
+	orig := storedSize(t, m, rank)
 
 	// A run SETs the key with a different value size; a GET's modelled
 	// cost depends on that size, so without a restore the next run would
 	// observe this run's write.
-	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: key, ValueSize: len(orig) + 999})
-	if v, _ := m.Store().Get(key, 0); len(v) != len(orig)+999 {
-		t.Fatalf("set not applied: len=%d", len(v))
+	drive(t, m, kv(workload.OpSet, rank, orig+999))
+	if got := storedSize(t, m, rank); got != orig+999 {
+		t.Fatalf("set not applied: size=%d", got)
 	}
 
 	m.ResetRun(sim.NewEngine(), rng.New(5))
-	v, err := m.Store().Get(key, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != len(orig) {
-		t.Errorf("after ResetRun len(value) = %d, want preloaded %d", len(v), len(orig))
+	if got := storedSize(t, m, rank); got != orig {
+		t.Errorf("after ResetRun value size = %d, want preloaded %d", got, orig)
 	}
 }
 
@@ -194,14 +206,11 @@ func TestMemcachedInstancesShareSnapshot(t *testing.T) {
 		t.Error("different key spaces share a snapshot")
 	}
 
-	const key = "etc-000000000009"
-	orig, err := a.Store().Get(key, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, a, workload.KVRequest{Op: workload.OpSet, Key: key, ValueSize: len(orig) + 123})
-	if v, _ := b.Store().Get(key, 0); len(v) != len(orig) {
-		t.Errorf("sibling instance sees a's write: len=%d, want %d", len(v), len(orig))
+	const rank = 9
+	orig := storedSize(t, a, rank)
+	drive(t, a, kv(workload.OpSet, rank, orig+123))
+	if got := storedSize(t, b, rank); got != orig {
+		t.Errorf("sibling instance sees a's write: size=%d, want %d", got, orig)
 	}
 }
 

@@ -10,6 +10,8 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -31,10 +33,14 @@ func (o Op) String() string {
 	return "SET"
 }
 
-// KVRequest is one generated key-value request.
+// KVRequest is one generated key-value request. Rank is the key's
+// popularity rank, which addresses the Memcached store; Key is the same
+// key as a string (Key == ETCKeys(n)[Rank]), which the consistent-hash
+// router hashes and the wire size counts.
 type KVRequest struct {
 	Op        Op
 	Key       string
+	Rank      int
 	ValueSize int // bytes; 0 for GET
 }
 
@@ -77,12 +83,11 @@ func (c ETCConfig) Validate() error {
 }
 
 // Interned ETC key table. Key strings are a pure function of rank
-// ("etc-%012d"), so every generator thread, every run and the Memcached
-// preload can share one immutable table instead of fmt.Sprintf-ing a
-// fresh string per request — the last per-request allocation on the
-// key-value hot path. The table grows monotonically to the largest key
-// space requested and is never mutated after publication; ETCKeys hands
-// out sub-slices of it.
+// ("etc-%012d"), so every generator thread and every run can share one
+// immutable table instead of formatting a fresh string per request —
+// the last per-request allocation on the key-value hot path. The table
+// grows monotonically to the largest key space requested and is never
+// mutated after publication; ETCKeys hands out sub-slices of it.
 var (
 	keyTableMu sync.Mutex
 	keyTable   []string
@@ -98,12 +103,31 @@ func ETCKeys(n int) []string {
 	if n > len(keyTable) {
 		grown := make([]string, n)
 		copy(grown, keyTable)
-		for i := len(keyTable); i < n; i++ {
-			grown[i] = fmt.Sprintf("etc-%012d", i)
-		}
+		appendKeys(grown, len(keyTable))
 		keyTable = grown
 	}
 	return keyTable[:n:n]
+}
+
+// appendKeys fills keys[from:] with "etc-%012d" of each index. The new
+// keys are substrings of one shared backing buffer, so building a table
+// costs one allocation for all of its bytes rather than one per key.
+func appendKeys(keys []string, from int) {
+	const prefix, width = "etc-", 12
+	var b strings.Builder
+	b.Grow((len(keys) - from) * (len(prefix) + width))
+	var digits [20]byte
+	for i := from; i < len(keys); i++ {
+		start := b.Len()
+		d := strconv.AppendInt(digits[:0], int64(i), 10)
+		b.WriteString(prefix)
+		for pad := len(d); pad < width; pad++ {
+			b.WriteByte('0')
+		}
+		b.Write(d)
+		// String does not copy: every key views the builder's buffer.
+		keys[i] = b.String()[start:]
+	}
 }
 
 // ETC draws requests following the ETC model. Not safe for concurrent use;
@@ -130,9 +154,9 @@ func (e *ETC) Next() KVRequest {
 	rank := e.zipf.Draw()
 	key := e.keys[rank]
 	if e.stream.Float64() < e.cfg.GetRatio {
-		return KVRequest{Op: OpGet, Key: key}
+		return KVRequest{Op: OpGet, Key: key, Rank: rank}
 	}
-	return KVRequest{Op: OpSet, Key: key, ValueSize: e.ValueSize()}
+	return KVRequest{Op: OpSet, Key: key, Rank: rank, ValueSize: e.ValueSize()}
 }
 
 // ValueSize draws a value size in bytes from the generalized-Pareto ETC

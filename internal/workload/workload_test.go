@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/rng"
@@ -119,6 +121,57 @@ func TestETCSetsCarryValueSize(t *testing.T) {
 		if !strings.HasPrefix(r.Key, "etc-") {
 			t.Fatalf("unexpected key %q", r.Key)
 		}
+	}
+}
+
+// TestETCKeysMatchSprintf pins the key table to the "etc-%012d" format,
+// including keys appended when the shared table grows.
+func TestETCKeysMatchSprintf(t *testing.T) {
+	keyTableMu.Lock()
+	n1 := len(keyTable) + 11
+	keyTableMu.Unlock()
+	first := ETCKeys(n1)
+	n2 := n1 + 1000
+	keys := ETCKeys(n2) // grows the table past first
+	for _, i := range []int{0, 9, 10, n1 - 1, n1, n2 - 1} {
+		if want := fmt.Sprintf("etc-%012d", i); keys[i] != want {
+			t.Errorf("key %d = %q, want %q", i, keys[i], want)
+		}
+	}
+	for i, k := range keys {
+		if want := fmt.Sprintf("etc-%012d", i); k != want {
+			t.Fatalf("key %d = %q, want %q", i, k, want)
+		}
+	}
+	for i, k := range first {
+		if k != keys[i] {
+			t.Fatalf("key %d changed across a grow: %q → %q", i, k, keys[i])
+		}
+	}
+}
+
+// Property: every request Next emits names its key both ways, and the
+// two agree: Key == ETCKeys(n)[Rank].
+func TestETCKeyMatchesRank(t *testing.T) {
+	f := func(seed uint64, keySpace uint16) bool {
+		cfg := DefaultETCConfig()
+		cfg.Keys = 1 + int(keySpace)%5000
+		e, err := NewETC(cfg, rng.New(seed))
+		if err != nil {
+			return false
+		}
+		keys := ETCKeys(cfg.Keys)
+		for i := 0; i < 200; i++ {
+			r := e.Next()
+			if r.Rank < 0 || r.Rank >= cfg.Keys || keys[r.Rank] != r.Key {
+				t.Logf("keys=%d: rank %d key %q", cfg.Keys, r.Rank, r.Key)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }
 

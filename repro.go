@@ -51,8 +51,10 @@
 //     server configuration): sweep cells that share a server config
 //     reuse one preloaded instance instead of rebuilding per cell.
 //   - The Memcached preload itself is a copy-on-write snapshot
-//     (internal/kvstore): concurrent instances share one frozen 100k-key
-//     base and overlay only the keys a run writes.
+//     (internal/kvstore): a frozen table of 100k value sizes indexed by
+//     key rank, built straight from the preload's size draws. Concurrent
+//     instances share it and overlay only the ranks a run writes; a run
+//     reset retires the overlay in O(1).
 //
 // Use NewEnvContext to assemble the standard environment, then pass the
 // context to RunScenarioContext or share a Budget/BackendPool across
@@ -125,7 +127,8 @@
 // The Memcached request path is additionally allocation-free end to end:
 // ETC keys are interned in a shared table (workload.ETCKeys), request
 // bodies travel inline in pooled requests instead of boxed payloads, and
-// store lookups are size-only (kvstore.Fork.ValueSize) — gated below 0.2
+// the store is addressed by the key's rank with size-only lookups
+// (kvstore.Fork.ValueSize, a slice index) — gated below 0.2
 // allocs/request by TestMemcachedKVPathAllocFree.
 //
 // # Cluster layer
