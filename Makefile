@@ -13,7 +13,7 @@ BENCH_JSON ?= bench.json
 # bench-diff compares against the last committed trajectory point.
 BENCH_BASE ?= BENCH_PR10.json
 
-.PHONY: build test test-short race bench bench-json bench-diff smoke-presets profile clean
+.PHONY: build test test-short race bench bench-json bench-diff smoke-presets profile loc clean
 
 build:
 	$(GO) build ./...
@@ -108,6 +108,13 @@ profile:
 	$(GO) test ./internal/loadgen -run '^$$' -bench '$(PROFILE_BENCH)' \
 		-benchtime 3s -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof mem.pprof (see comments above this target for how to read them)"
+
+# loc prints the Go line counts ROADMAP tracks: non-test and test lines,
+# excluding the nested perfbench module. Report-only.
+GO_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.*'
+loc:
+	@printf 'non-test Go lines (excl. perfbench/): %s\n' "$$($(GO_FILES) ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'test Go lines (excl. perfbench/):     %s\n' "$$($(GO_FILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 clean:
 	rm -f $(BENCH_JSON) cpu.pprof mem.pprof loadgen.test

@@ -14,6 +14,16 @@ import (
 	"repro/internal/workload"
 )
 
+// eventFunc adapts a func to sim.EventSink for tests.
+type eventFunc func(now sim.Time)
+
+func (f eventFunc) OnEvent(now sim.Time, _ sim.EventArg) { f(now) }
+
+// completionFunc adapts a func to services.CompletionSink for tests.
+type completionFunc func(req *services.Request, departed sim.Time)
+
+func (f completionFunc) OnComplete(req *services.Request, departed sim.Time) { f(req, departed) }
+
 // --- Router policies ---
 
 // kvReq builds a GET for the ETC key of the given rank, addressed both
@@ -419,11 +429,11 @@ func TestAutoscalerScalesOutAndBack(t *testing.T) {
 	var completed int
 	var at sim.Time
 	for at = 0; at < loadEnd; at = at.Add(gap) {
-		engine.At(at, func(now sim.Time) {
+		engine.AtSink(at, eventFunc(func(now sim.Time) {
 			req := &services.Request{}
-			req.SetCompletion(func(*services.Request, sim.Time) { completed++ })
+			req.SetCompletionSink(completionFunc(func(*services.Request, sim.Time) { completed++ }))
 			rs.Arrive(req, now)
-		})
+		}), sim.EventArg{})
 	}
 	engine.RunUntil(end)
 
@@ -480,13 +490,13 @@ func TestAutoscalerLatencySignal(t *testing.T) {
 	end := sim.Time(0).Add(20 * time.Millisecond)
 	rs.StartRun(end)
 	// Overload one replica: 1500 simultaneous arrivals queue deeply.
-	engine.At(0, func(now sim.Time) {
+	engine.AtSink(0, eventFunc(func(now sim.Time) {
 		for i := 0; i < 1500; i++ {
 			req := &services.Request{Conn: i}
-			req.SetCompletion(func(*services.Request, sim.Time) {})
+			req.SetCompletionSink(completionFunc(func(*services.Request, sim.Time) {}))
 			rs.Arrive(req, now)
 		}
-	})
+	}), sim.EventArg{})
 	engine.RunUntil(end)
 	st := rs.Stats()
 	if len(st.ScaleEvents) == 0 || st.ScaleEvents[0].Replicas != 2 {

@@ -3,8 +3,8 @@ package kvstore
 import "sync"
 
 // Reference model: the string-keyed copy-on-write fork that the rank
-// table replaced, kept for differential tests. Its base is a deep copy
-// of a Store's contents and its overlay a map keyed by string; it keeps
+// table replaced, kept for differential tests. Its base is a map of
+// deep-copied values and its overlay a map keyed by string; it keeps
 // the old Set/ValueSize/Reset/Stats semantics, minus TTL, which no
 // caller of the fork ever set.
 
@@ -12,16 +12,12 @@ type refSnapshot struct {
 	items map[string][]byte
 }
 
-// refSnapshotOf freezes s the way Store.Snapshot did: every value is
-// deep-copied.
-func refSnapshotOf(s *Store) *refSnapshot {
-	sn := &refSnapshot{items: make(map[string][]byte)}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for k, e := range sh.items {
-			sn.items[k] = append([]byte(nil), e.value...)
-		}
-		sh.mu.Unlock()
+// refSnapshotOf freezes a preload the way the string-keyed store did:
+// every value is deep-copied.
+func refSnapshotOf(preload map[string][]byte) *refSnapshot {
+	sn := &refSnapshot{items: make(map[string][]byte, len(preload))}
+	for k, v := range preload {
+		sn.items[k] = append([]byte(nil), v...)
 	}
 	return sn
 }
@@ -45,16 +41,16 @@ func (f *refFork) visible(key string) ([]byte, bool) {
 	return v, ok
 }
 
-func (f *refFork) valueSize(key string) (int, error) {
+func (f *refFork) valueSize(key string) (int, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	v, ok := f.visible(key)
 	if !ok {
 		f.misses++
-		return 0, ErrNotFound
+		return 0, false
 	}
 	f.hits++
-	return len(v), nil
+	return len(v), true
 }
 
 func (f *refFork) setShared(key string, value []byte) error {

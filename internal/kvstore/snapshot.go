@@ -88,11 +88,10 @@ type slot struct {
 // experiment environment (a single sim-engine goroutine) with only the
 // shared base read concurrently.
 //
-// Semantics versus Store: the key space is fixed (a write outside it is
-// an error, a read outside it a miss), there is no LRU bookkeeping, no
-// eviction and no TTL, so Stats reports only hits and misses. The
-// counters accumulate for the fork's lifetime (Reset drops data
-// changes, not counters), mirroring how a Store's counters persist
+// The key space is fixed (a write outside it is an error, a read outside
+// it a miss), and there is no eviction and no TTL. The hit and miss
+// counters accumulate for the fork's lifetime: Reset drops data
+// changes, not counters, as a memcached server's counters persist
 // across experiment runs.
 type Fork struct {
 	mu    sync.Mutex
@@ -160,7 +159,7 @@ func (f *Fork) Stats() Stats {
 // advances the generation, which retires every overlay slot at once.
 // Only when the generation wraps are the slots cleared, so a slot
 // written 2^32 resets ago can never come back to life. Counters are not
-// cleared (they are lifetime statistics, as on Store).
+// cleared (they are lifetime statistics).
 func (f *Fork) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -216,14 +216,12 @@ func TestForkMatchesStringKeyedReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		sizes := make([]int, keys)
-		store := New(Config{Shards: 8})
+		preload := make(map[string][]byte, keys)
 		for rank := range sizes {
 			sizes[rank] = 1 + rnd.Intn(2000)
-			if err := store.Set(key(rank), zero[:sizes[rank]], 0); err != nil {
-				t.Fatal(err)
-			}
+			preload[key(rank)] = zero[:sizes[rank]]
 		}
-		ref := refSnapshotOf(store).fork()
+		ref := refSnapshotOf(preload).fork()
 		sn, err := NewSnapshot(keys, func(rank int) int { return sizes[rank] })
 		if err != nil {
 			t.Fatal(err)
@@ -234,10 +232,10 @@ func TestForkMatchesStringKeyedReference(t *testing.T) {
 			switch op := rnd.Intn(100); {
 			case op < 70: // GET, sometimes outside the key space
 				rank := rnd.Intn(keys+6) - 3
-				want, refErr := ref.valueSize(key(rank))
+				want, refOK := ref.valueSize(key(rank))
 				got, ok := f.ValueSize(rank)
-				if ok != (refErr == nil) || got != want {
-					t.Fatalf("seed %d step %d: GET %d = %d, %v; reference %d, %v", seed, step, rank, got, ok, want, refErr)
+				if ok != refOK || got != want {
+					t.Fatalf("seed %d step %d: GET %d = %d, %v; reference %d, %v", seed, step, rank, got, ok, want, refOK)
 				}
 			case op < 97: // SET, sometimes over the size limit
 				rank, size := rnd.Intn(keys), rnd.Intn(3000)
@@ -312,7 +310,8 @@ func TestConcurrentForks(t *testing.T) {
 // one concurrent Memcached-style sweep cell its own view of a 100k-key
 // preloaded store. cow-fork is the copy-on-write path (fork the shared
 // snapshot, dirty ~1k keys like a run's SETs, reset); full-preload is the
-// unshared path (every cell rebuilds and re-preloads a private store).
+// unshared path (every cell rebuilds a private string-keyed store,
+// copying every value in, as the string-keyed reference snapshot does).
 // Compare B/op and allocs/op between the two.
 func BenchmarkSweepMemoryPerCell(b *testing.B) {
 	const (
@@ -340,13 +339,11 @@ func BenchmarkSweepMemoryPerCell(b *testing.B) {
 		b.ReportAllocs()
 		buf := make([]byte, valueSize)
 		for i := 0; i < b.N; i++ {
-			s := New(Config{Shards: 64})
+			s := &refSnapshot{items: make(map[string][]byte)}
 			for k := 0; k < keys; k++ {
-				if err := s.Set(fmt.Sprintf("etc-%012d", k), buf, 0); err != nil {
-					b.Fatal(err)
-				}
+				s.items[fmt.Sprintf("etc-%012d", k)] = append([]byte(nil), buf...)
 			}
-			if s.Len() != keys {
+			if len(s.items) != keys {
 				b.Fatal("preload incomplete")
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/rng"
 	"repro/internal/services"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -66,67 +65,13 @@ func memcachedAllocConfig(rate float64, backend *services.Memcached) Config {
 	return cfg
 }
 
-// closureDriver replays the pre-pooling request lifecycle against the
-// same backend: a fresh services.Request and a closure per event
-// (send, completion, receive), scheduled through the engine's retained
-// closure form. It is the in-tree baseline BenchmarkRequestPathAllocs
-// and TestRequestPathAllocReduction compare the typed path against.
-type closureDriver struct {
-	engine   *sim.Engine
-	backend  services.Backend
-	sent     int
-	received int
-	latSum   time.Duration
-}
-
-func newClosureDriver(b services.Backend) *closureDriver {
-	return &closureDriver{engine: sim.NewEngine(), backend: b}
-}
-
-// run issues n open-loop requests at the given interval and drains the
-// simulation. Every request allocates: the send closure, the request
-// object, the arrive closure, the completion closure and the receive
-// closure — the shape of the retired hot path.
-func (d *closureDriver) run(stream *rng.Stream, n int, interval time.Duration) {
-	d.engine.Reset()
-	for _, m := range d.backend.Machines() {
-		m.ResetRun(stream.Split())
-	}
-	d.backend.ResetRun(d.engine, stream.Split())
-	var sendNext func(i int, at sim.Time)
-	sendNext = func(i int, at sim.Time) {
-		if i >= n {
-			return
-		}
-		d.engine.At(at, func(now sim.Time) {
-			req := &services.Request{ID: uint64(i), Thread: 0, Conn: i & 7,
-				Scheduled: now, SentAt: now, Payload: struct{}{}}
-			d.sent++
-			req.SetCompletion(func(req *services.Request, departed sim.Time) {
-				d.engine.At(departed.Add(5*time.Microsecond), func(done sim.Time) {
-					d.received++
-					d.latSum += done.Sub(req.SentAt)
-				})
-			})
-			d.engine.At(now.Add(5*time.Microsecond), func(t sim.Time) { d.backend.Arrive(req, t) })
-			sendNext(i+1, now.Add(interval))
-		})
-	}
-	sendNext(0, 0)
-	d.engine.Run()
-}
-
 // BenchmarkRequestPathAllocs reports heap allocations per simulated
 // request (run with -benchmem; the allocs/req metric is normalized per
-// request) for the two lifecycles:
-//
-//   - typed: the production path — pooled events, pooled requests, typed
-//     dispatch end to end (engine → netmodel → backend tier → generator).
-//   - closure: the pre-refactor lifecycle replayed through the retained
-//     closure APIs, a fresh request + closures per event.
-//
-// The typed path's residual per-run allocations are setup (threads, RNG
-// splits, recorders), amortized across every request of the run.
+// request) on the production path — pooled events, pooled requests,
+// typed dispatch end to end (engine → netmodel → backend tier →
+// generator) — against the synthetic service (typed) and Memcached. The
+// residual per-run allocations are setup (threads, RNG splits,
+// recorders), amortized across every request of the run.
 func BenchmarkRequestPathAllocs(b *testing.B) {
 	b.Run("typed", func(b *testing.B) {
 		backend, err := services.NewSynthetic(services.DefaultSyntheticConfig())
@@ -187,32 +132,14 @@ func BenchmarkRequestPathAllocs(b *testing.B) {
 			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(totalReqs), "allocs/req")
 		}
 	})
-	b.Run("closure", func(b *testing.B) {
-		backend, err := services.NewSynthetic(services.DefaultSyntheticConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := newClosureDriver(backend)
-		const reqsPerRun = 20_000
-		b.ReportAllocs()
-		b.ResetTimer()
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		for i := 0; i < b.N; i++ {
-			d.run(rng.NewLabeled(42, "alloc-bench-closure"), reqsPerRun, 5*time.Microsecond)
-		}
-		runtime.ReadMemStats(&ms1)
-		b.StopTimer()
-		if d.sent > 0 {
-			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(d.sent), "allocs/req")
-		}
-	})
 }
 
 // TestRequestPathAllocReduction is the acceptance gate for the pooled
-// lifecycle: the typed path must allocate at least 5× less per simulated
-// request than the closure lifecycle. (Measured: ~0.01 vs ~5 allocs/req,
-// a ~400× reduction; the 5× bar leaves room for platform variance.)
+// lifecycle: a warm synthetic run must stay at or below 0.2 heap
+// allocations per simulated request. This 50 ms run measures ~0.04, all
+// of it per-run setup amortized over ~5k requests. Before pooling, the
+// same lifecycle paid ~5 allocs per request: a fresh request plus a
+// closure per event.
 func TestRequestPathAllocReduction(t *testing.T) {
 	backend, err := services.NewSynthetic(services.DefaultSyntheticConfig())
 	if err != nil {
@@ -238,19 +165,9 @@ func TestRequestPathAllocReduction(t *testing.T) {
 		}
 	})
 	typedPerReq := typedPerRun / float64(reqs)
-
-	d := newClosureDriver(backend)
-	const closureReqs = 5000
-	closurePerRun := testing.AllocsPerRun(3, func() {
-		d.run(rng.NewLabeled(7, "alloc-closure"), closureReqs, 10*time.Microsecond)
-	})
-	closurePerReq := closurePerRun / float64(closureReqs)
-
-	t.Logf("allocs per simulated request: typed=%.4f closure=%.4f (%.0f× reduction)",
-		typedPerReq, closurePerReq, closurePerReq/typedPerReq)
-	if typedPerReq*5 > closurePerReq {
-		t.Errorf("typed path allocates %.4f/req, closure path %.4f/req: reduction below the 5× bar",
-			typedPerReq, closurePerReq)
+	t.Logf("typed path: %.4f allocs/request (%.0f allocs/run over %d requests)", typedPerReq, typedPerRun, reqs)
+	if typedPerReq > 0.2 {
+		t.Errorf("typed path allocates %.4f/request, want ≤ 0.2", typedPerReq)
 	}
 }
 

@@ -756,7 +756,7 @@ func (r *run) onSendTimer(th *thread, classIdx int, now sim.Time) {
 		if threshold <= 0 {
 			threshold = 10 * time.Microsecond
 		}
-		// Hysteresis: start spinning above the threshold, relax below half.
+		// Two thresholds: start spinning above the threshold, relax below half.
 		if th.lagEWMA > float64(threshold)/1e3 {
 			th.spinning = true
 		} else if th.lagEWMA < float64(threshold)/2e3 {

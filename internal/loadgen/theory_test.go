@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/netmodel"
-	"repro/internal/qmodel"
 	"repro/internal/rng"
 	"repro/internal/services"
 	"repro/internal/stats"
@@ -61,14 +60,14 @@ func TestSimulatorMatchesQueueingTheory(t *testing.T) {
 	// service accordingly).
 	meanService := (9.0*1.005 + 100 + 1.8) * 1.07e-6 // seconds, with contention
 	scv := 0.02
-	want, err := qmodel.MGcApprox(rate, meanService, scv, 10)
+	want, err := mgcApprox(rate, meanService, scv, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantUs := want * 1e6
 
 	t.Logf("simulated server residence %.1fµs vs M/G/c prediction %.1fµs (util %.2f)",
-		serverResidence, wantUs, qmodel.Utilization(rate, meanService, 10))
+		serverResidence, wantUs, utilization(rate, meanService, 10))
 	ratio := serverResidence / wantUs
 	if ratio < 0.75 || ratio > 1.35 {
 		t.Errorf("simulation/theory ratio = %.2f, want ≈1 (sim %.1fµs theory %.1fµs)",

@@ -100,19 +100,16 @@ type Request struct {
 	TimeoutEv sim.EventID
 	HedgeEv   sim.EventID
 
-	// onComplete / sink: exactly one is invoked when the response leaves
-	// the server. sink is the typed, allocation-free form; onComplete is
-	// the closure form kept for tests and one-off drivers.
-	onComplete func(req *Request, departed sim.Time)
-	sink       CompletionSink
+	// sink is invoked when the response leaves the server.
+	sink CompletionSink
 
-	// hook, when set, observes the completion before the sink/closure
-	// fires — the cluster layer's interposition point.
+	// hook, when set, observes the completion before the sink fires —
+	// the cluster layer's interposition point.
 	hook CompletionHook
 }
 
 // CompletionHook observes request completions before the completion
-// sink/closure runs. Unlike CompletionSink it does not own the request —
+// sink runs. Unlike CompletionSink it does not own the request —
 // it must not recycle or retain it.
 type CompletionHook interface {
 	RequestDone(req *Request, departed sim.Time)
@@ -121,26 +118,16 @@ type CompletionHook interface {
 // SetCompletionHook installs (or, with nil, clears) the completion hook.
 func (r *Request) SetCompletionHook(h CompletionHook) { r.hook = h }
 
-// CompletionSink receives request completions on the typed path. The
-// generator installs one long-lived sink per run instead of allocating a
-// completion closure per request.
+// CompletionSink receives request completions. The generator installs
+// one long-lived sink per run instead of allocating a completion closure
+// per request.
 type CompletionSink interface {
 	OnComplete(req *Request, departed sim.Time)
 }
 
-// SetCompletion installs the completion callback (the generator's receive
+// SetCompletionSink installs the completion sink (the generator's receive
 // path). It must be set before the request arrives at a backend.
-func (r *Request) SetCompletion(fn func(req *Request, departed sim.Time)) {
-	r.onComplete = fn
-	r.sink = nil
-}
-
-// SetCompletionSink installs the typed completion sink — the
-// allocation-free alternative to SetCompletion.
-func (r *Request) SetCompletionSink(s CompletionSink) {
-	r.sink = s
-	r.onComplete = nil
-}
+func (r *Request) SetCompletionSink(s CompletionSink) { r.sink = s }
 
 // Outcome classifies how a request ended.
 type Outcome uint8
@@ -197,8 +184,6 @@ func (r *Request) complete(departed sim.Time) {
 	}
 	if r.sink != nil {
 		r.sink.OnComplete(r, departed)
-	} else if r.onComplete != nil {
-		r.onComplete(r, departed)
 	}
 }
 

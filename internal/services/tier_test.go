@@ -16,6 +16,16 @@ type doneFunc func(end sim.Time)
 
 func (f doneFunc) JobDone(end sim.Time, _ *Request) { f(end) }
 
+// eventFunc adapts a func to sim.EventSink for tests.
+type eventFunc func(now sim.Time)
+
+func (f eventFunc) OnEvent(now sim.Time, _ sim.EventArg) { f(now) }
+
+// completionFunc adapts a func to CompletionSink for tests.
+type completionFunc func(req *Request, departed sim.Time)
+
+func (f completionFunc) OnComplete(req *Request, departed sim.Time) { f(req, departed) }
+
 // approx asserts got is within 1% of want (machines carry per-run
 // frequency jitter, so exact equality does not hold).
 func approx(t *testing.T, label string, got, want time.Duration) {
@@ -147,9 +157,9 @@ func TestTierWorkerSleepsAndPaysWake(t *testing.T) {
 	// dispatch) delays the start.
 	later := sim.Time(0).Add(5 * time.Millisecond)
 	var end sim.Time
-	engine.At(later, func(now sim.Time) {
+	engine.AtSink(later, eventFunc(func(now sim.Time) {
 		tier.Submit(now, 10*time.Microsecond, nil, doneFunc(func(e sim.Time) { end = e }))
-	})
+	}), sim.EventArg{})
 	engine.Run()
 	elapsed := end.Sub(later)
 	if elapsed <= 10*time.Microsecond {

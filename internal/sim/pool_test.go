@@ -35,22 +35,6 @@ func TestTypedDispatchDeliversArg(t *testing.T) {
 	}
 }
 
-func TestTypedAndClosureShareFIFOOrder(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	s := sinkFunc(func(_ Time, arg EventArg) { order = append(order, int(arg.U64)) })
-	e.AtSink(Time(50), s, EventArg{U64: 0})
-	e.At(Time(50), func(Time) { order = append(order, 1) })
-	e.AtSink(Time(50), s, EventArg{U64: 2})
-	e.At(Time(50), func(Time) { order = append(order, 3) })
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("mixed-form same-deadline order = %v, want scheduling order", order)
-		}
-	}
-}
-
 // sinkFunc adapts a func to EventSink for tests (allocates; fine here).
 type sinkFunc func(now Time, arg EventArg)
 
@@ -70,7 +54,7 @@ func TestNilSinkPanics(t *testing.T) {
 // stale, and canceling it must not touch the pooled slot's next occupant.
 func TestCancelAfterFire(t *testing.T) {
 	e := NewEngine()
-	id := e.After(time.Microsecond, func(Time) {})
+	id := after(e, time.Microsecond, func(Time) {})
 	if !id.Valid() {
 		t.Fatal("pending event ID reports invalid")
 	}
@@ -82,7 +66,7 @@ func TestCancelAfterFire(t *testing.T) {
 	// The freed slot is reused by the next scheduling; the stale ID must
 	// not cancel the new event.
 	fired := false
-	id2 := e.After(time.Microsecond, func(Time) { fired = true })
+	id2 := after(e, time.Microsecond, func(Time) { fired = true })
 	e.Cancel(id) // stale: different generation, same (reused) slot
 	if !id2.Valid() {
 		t.Fatal("stale cancel invalidated the slot's new occupant")
@@ -100,7 +84,7 @@ func TestCancelAfterReuse(t *testing.T) {
 	var stale []EventID
 	fired := 0
 	for cycle := 0; cycle < 5; cycle++ {
-		id := e.After(time.Microsecond, func(Time) { fired++ })
+		id := after(e, time.Microsecond, func(Time) { fired++ })
 		for _, s := range stale {
 			e.Cancel(s) // must all be no-ops
 			if s.Valid() {
@@ -118,13 +102,13 @@ func TestCancelAfterReuse(t *testing.T) {
 	}
 
 	// Canceled (never fired) events also retire their IDs.
-	id := e.After(time.Microsecond, func(Time) { t.Error("canceled event fired") })
+	id := after(e, time.Microsecond, func(Time) { t.Error("canceled event fired") })
 	e.Cancel(id)
 	if id.Valid() {
 		t.Error("canceled event ID still valid")
 	}
 	e.Cancel(id) // double cancel: no-op
-	replacement := e.After(time.Microsecond, func(Time) {})
+	replacement := after(e, time.Microsecond, func(Time) {})
 	e.Cancel(id) // stale cancel against the reused slot: no-op
 	if !replacement.Valid() {
 		t.Error("stale cancel after cancel-reuse invalidated new event")
@@ -136,7 +120,7 @@ func TestCancelFromOwnHandlerIsNoop(t *testing.T) {
 	e := NewEngine()
 	var id EventID
 	ran := false
-	id = e.After(time.Microsecond, func(Time) {
+	id = after(e, time.Microsecond, func(Time) {
 		ran = true
 		e.Cancel(id) // the event is firing: already retired, must no-op
 	})
@@ -146,7 +130,7 @@ func TestCancelFromOwnHandlerIsNoop(t *testing.T) {
 	}
 	// The slot freed by the fired event must be reusable afterwards.
 	again := false
-	e.After(time.Microsecond, func(Time) { again = true })
+	after(e, time.Microsecond, func(Time) { again = true })
 	e.Run()
 	if !again {
 		t.Error("slot unusable after self-cancel")
@@ -160,7 +144,7 @@ func TestEngineResetReusesPool(t *testing.T) {
 	run := func() []Time {
 		var fired []Time
 		for i := 1; i <= 50; i++ {
-			e.After(time.Duration(i)*time.Microsecond, func(now Time) { fired = append(fired, now) })
+			after(e, time.Duration(i)*time.Microsecond, func(now Time) { fired = append(fired, now) })
 		}
 		// Leave some events pending past the horizon, as real runs do.
 		e.RunUntil(Time(0).Add(40 * time.Microsecond))
@@ -239,30 +223,16 @@ func TestTypedSchedulingZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineHotLoop contrasts the closure and typed scheduling forms
-// on the schedule→fire hot loop. Run with -benchmem: the closure form
-// pays one closure allocation per event; the typed form is 0 B/op in
-// steady state.
+// BenchmarkEngineHotLoop measures the schedule→fire hot loop. Run with
+// -benchmem: it is 0 B/op in steady state.
 func BenchmarkEngineHotLoop(b *testing.B) {
-	b.Run("closure", func(b *testing.B) {
-		e := NewEngine()
-		n := 0
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			v := i // captured: forces the per-event closure allocation real call sites pay
-			e.After(time.Nanosecond, func(Time) { n += v })
-			e.Step()
-		}
-	})
-	b.Run("typed", func(b *testing.B) {
-		e := NewEngine()
-		s := &countSink{}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.AfterSink(time.Nanosecond, s, EventArg{U64: uint64(i)})
-			e.Step()
-		}
-	})
+	e := NewEngine()
+	s := &countSink{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.AfterSink(time.Nanosecond, s, EventArg{U64: uint64(i)})
+		e.Step()
+	}
 }
 
 type countSink struct{ n uint64 }

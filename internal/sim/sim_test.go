@@ -19,7 +19,7 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestAfterAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	var fired Time = -1
-	e.After(5*time.Microsecond, func(now Time) { fired = now })
+	after(e, 5*time.Microsecond, func(now Time) { fired = now })
 	e.Run()
 	if fired != Time(5000) {
 		t.Errorf("event fired at %v, want 5µs", fired)
@@ -32,9 +32,9 @@ func TestAfterAdvancesClock(t *testing.T) {
 func TestEventOrderingByDeadline(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.After(30*time.Nanosecond, func(Time) { order = append(order, 3) })
-	e.After(10*time.Nanosecond, func(Time) { order = append(order, 1) })
-	e.After(20*time.Nanosecond, func(Time) { order = append(order, 2) })
+	after(e, 30*time.Nanosecond, func(Time) { order = append(order, 3) })
+	after(e, 10*time.Nanosecond, func(Time) { order = append(order, 1) })
+	after(e, 20*time.Nanosecond, func(Time) { order = append(order, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i, v := range want {
@@ -49,7 +49,7 @@ func TestFIFOTieBreaking(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(Time(42), func(Time) { order = append(order, i) })
+		atTime(e, Time(42), func(Time) { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -62,7 +62,7 @@ func TestFIFOTieBreaking(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	id := e.After(time.Microsecond, func(Time) { fired = true })
+	id := after(e, time.Microsecond, func(Time) { fired = true })
 	e.Cancel(id)
 	e.Run()
 	if fired {
@@ -80,7 +80,7 @@ func TestCancelOneOfMany(t *testing.T) {
 	var ids []EventID
 	for i := 0; i < 10; i++ {
 		i := i
-		ids = append(ids, e.After(time.Duration(i+1)*time.Microsecond, func(Time) {
+		ids = append(ids, after(e, time.Duration(i+1)*time.Microsecond, func(Time) {
 			fired = append(fired, i)
 		}))
 	}
@@ -100,14 +100,14 @@ func TestCancelOneOfMany(t *testing.T) {
 func TestEventSchedulingFromHandler(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	var tick Handler
+	var tick func(now Time)
 	tick = func(now Time) {
 		ticks = append(ticks, now)
 		if len(ticks) < 5 {
-			e.After(time.Millisecond, tick)
+			after(e, time.Millisecond, tick)
 		}
 	}
-	e.After(time.Millisecond, tick)
+	after(e, time.Millisecond, tick)
 	e.Run()
 	if len(ticks) != 5 {
 		t.Fatalf("got %d ticks, want 5", len(ticks))
@@ -124,7 +124,7 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	for i := 1; i <= 10; i++ {
-		e.After(time.Duration(i)*time.Second, func(now Time) { fired = append(fired, now) })
+		after(e, time.Duration(i)*time.Second, func(now Time) { fired = append(fired, now) })
 	}
 	e.RunUntil(Time(4_500_000_000))
 	if len(fired) != 4 {
@@ -156,14 +156,14 @@ func TestRunForIsRelative(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.After(time.Second, func(Time) {})
+	after(e, time.Second, func(Time) {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	e.At(Time(1), func(Time) {})
+	atTime(e, Time(1), func(Time) {})
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -173,23 +173,13 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-time.Second, func(Time) {})
-}
-
-func TestNilHandlerPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Error("nil handler did not panic")
-		}
-	}()
-	e.After(time.Second, nil)
+	after(e, -time.Second, func(Time) {})
 }
 
 func TestFiredCounter(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 25; i++ {
-		e.After(time.Duration(i)*time.Microsecond, func(Time) {})
+		after(e, time.Duration(i)*time.Microsecond, func(Time) {})
 	}
 	e.Run()
 	if e.Fired() != 25 {
@@ -222,7 +212,7 @@ func TestPropertyMonotonicClock(t *testing.T) {
 		var last Time = -1
 		ok := true
 		for _, d := range delays {
-			e.After(time.Duration(d)*time.Nanosecond, func(now Time) {
+			after(e, time.Duration(d)*time.Nanosecond, func(now Time) {
 				if now < last {
 					ok = false
 				}
@@ -245,7 +235,7 @@ func TestPropertyDeterminism(t *testing.T) {
 			e := NewEngine()
 			var seq []Time
 			for _, d := range delays {
-				e.After(time.Duration(d)*time.Nanosecond, func(now Time) { seq = append(seq, now) })
+				after(e, time.Duration(d)*time.Nanosecond, func(now Time) { seq = append(seq, now) })
 			}
 			e.Run()
 			return seq
@@ -266,11 +256,12 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleAndFire(b *testing.B) {
-	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.After(time.Nanosecond, func(Time) {})
-		e.Step()
-	}
+// after schedules fn(now) d after e's clock through a func sink.
+func after(e *Engine, d time.Duration, fn func(now Time)) EventID {
+	return e.AfterSink(d, sinkFunc(func(now Time, _ EventArg) { fn(now) }), EventArg{})
+}
+
+// atTime schedules fn(now) at the instant t through a func sink.
+func atTime(e *Engine, t Time, fn func(now Time)) EventID {
+	return e.AtSink(t, sinkFunc(func(now Time, _ EventArg) { fn(now) }), EventArg{})
 }

@@ -9,7 +9,8 @@ import (
 // This file pins the cascade-hysteresis path (wheel.go cascadeChain):
 // deep-horizon schedules spanning every wheel level, phase-program-shaped
 // batch bursts at far deadlines, a differential property test against
-// both the retained heap and the legacy per-event cascade, a
+// both reference queues (reference_test.go) — the heap and the legacy
+// per-event cascade — a
 // cascade-work assertion proving hysteresis splices instead of
 // re-pushing, and the dense-deep-horizon benchmark with its ≥1.5× gate.
 
@@ -94,7 +95,7 @@ func TestWheelDeepHorizonDifferential(t *testing.T) {
 					seed, i, wheelD.fired[i], legacyD.fired[i], heapD.fired[i])
 			}
 		}
-		splices += wheelD.e.queue.(*wheel).cascadeRuns
+		splices += wheelD.e.(*Engine).queue.cascadeRuns
 	}
 	if splices == 0 {
 		t.Fatal("deep-horizon script never took the splice path — workload not exercising hysteresis")
@@ -109,13 +110,13 @@ func TestWheelDeepHorizonDifferential(t *testing.T) {
 // primes a standing population of 64 batches so iterations are
 // allocation-free steady state.
 type denseDriver struct {
-	e     *Engine
+	e     scheduler
 	s     countSink
 	batch int
 	rng   uint64
 }
 
-func newDenseDriver(e *Engine, batch int) *denseDriver {
+func newDenseDriver(e scheduler, batch int) *denseDriver {
 	d := &denseDriver{e: e, batch: batch, rng: 0x9E3779B97F4A7C15}
 	for i := 0; i < 64; i++ {
 		d.scheduleBatch()
@@ -141,10 +142,25 @@ func (d *denseDriver) scheduleBatch() {
 }
 
 // iter is one steady-state step: schedule one batch, fire one batch.
+// Both loops call the concrete engine type, so neither side of a timing
+// comparison pays a dispatch the other does not.
 func (d *denseDriver) iter() {
-	d.scheduleBatch()
-	for j := 0; j < d.batch; j++ {
-		d.e.Step()
+	delay := d.far()
+	switch e := d.e.(type) {
+	case *Engine:
+		for j := 0; j < d.batch; j++ {
+			e.AfterSink(delay, &d.s, EventArg{U64: 1})
+		}
+		for j := 0; j < d.batch; j++ {
+			e.Step()
+		}
+	case *refEngine:
+		for j := 0; j < d.batch; j++ {
+			e.AfterSink(delay, &d.s, EventArg{U64: 1})
+		}
+		for j := 0; j < d.batch; j++ {
+			e.Step()
+		}
 	}
 }
 
@@ -167,8 +183,8 @@ func TestWheelCascadeHysteresisReducesWork(t *testing.T) {
 		t.Fatalf("engines diverge: now %v vs %v, pending %d vs %d",
 			prod.Now(), legacy.Now(), prod.Pending(), legacy.Pending())
 	}
-	pw := prod.queue.(*wheel)
-	lw := legacy.queue.(*wheel)
+	pw := &prod.queue
+	lw := &legacy.queue.(*legacyWheel).wheel
 	if pw.cascades != lw.cascades || pw.cascadeEvents != lw.cascadeEvents {
 		t.Fatalf("cascade structure diverges: splits %d vs %d, events walked %d vs %d",
 			pw.cascades, lw.cascades, pw.cascadeEvents, lw.cascadeEvents)
@@ -187,7 +203,7 @@ func TestWheelCascadeHysteresisReducesWork(t *testing.T) {
 		pw.cascades, pw.cascadeEvents, pw.cascadeRuns, pw.cascadePushes, lw.cascadePushes)
 }
 
-func benchmarkCascadeDense(b *testing.B, newEngine func() *Engine) {
+func benchmarkCascadeDense[E scheduler](b *testing.B, newEngine func() E) {
 	d := newDenseDriver(newEngine(), 256)
 	// Each iteration schedules a batch before firing one, so pending
 	// peaks one batch above the primed level: the first iteration grows
@@ -222,15 +238,15 @@ func TestWheelCascadeHysteresisFaster(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing/alloc gate: skipped under -race (instrumentation skews both)")
 	}
-	measure := func(newEngine func() *Engine) (float64, int64) {
-		res := testing.Benchmark(func(b *testing.B) { benchmarkCascadeDense(b, newEngine) })
+	measure := func(bench func(b *testing.B)) (float64, int64) {
+		res := testing.Benchmark(bench)
 		return float64(res.T.Nanoseconds()) / float64(res.N), res.AllocedBytesPerOp()
 	}
 	var hystNs, legacyNs float64
 	for attempt := 0; attempt < 3; attempt++ {
 		var hystB, legacyB int64
-		hystNs, hystB = measure(NewEngine)
-		legacyNs, legacyB = measure(newLegacyCascadeEngine)
+		hystNs, hystB = measure(func(b *testing.B) { benchmarkCascadeDense(b, NewEngine) })
+		legacyNs, legacyB = measure(func(b *testing.B) { benchmarkCascadeDense(b, newLegacyCascadeEngine) })
 		if hystB != 0 || legacyB != 0 {
 			t.Fatalf("steady state allocates: hysteresis %d B/op, legacy %d B/op, want 0", hystB, legacyB)
 		}

@@ -6,13 +6,14 @@ import (
 	"time"
 )
 
-// This file differential-tests the production timer wheel against the
-// reference binary heap: both implement pendingQueue, and the engine's
+// This file differential-tests the production engine and its timer
+// wheel against the reference binary heap (reference_test.go): the
 // observable behaviour — firing order, clocks, cancellation semantics —
-// must be byte-identical between them. The random drivers below exercise
+// must be byte-identical between them. The random runs below exercise
 // schedule/cancel/reschedule interleavings, including stale-ID (ABA)
-// cancels against recycled wheel slots, and the pending-population
-// benchmarks measure the O(log n) → O(1) win the wheel exists for.
+// cancels against recycled wheel slots and deferred-origin schedules,
+// and the pending-population benchmarks measure the O(log n) → O(1) win
+// the wheel exists for.
 
 // firing is one observed event execution.
 type firing struct {
@@ -23,9 +24,9 @@ type firing struct {
 // dualOp is one scripted queue operation, applied identically to both
 // engines.
 type dualOp struct {
-	kind    int // 0 schedule, 1 cancel live, 2 cancel stale, 3 step, 4 runUntil, 5 reschedule
+	kind    int // 0 schedule, 1 cancel live, 2 cancel stale, 3 step, 4 runUntil, 5 reschedule, 6 deferred-origin schedule
 	delay   time.Duration
-	pick    int // index into live (cancel/reschedule) or retired (stale cancel) IDs
+	pick    int // index into live (cancel/reschedule) or retired (stale cancel) IDs; origin draw (deferred schedule)
 	horizon time.Duration
 }
 
@@ -71,9 +72,10 @@ func weightedKind(rng *rand.Rand) int {
 	}
 }
 
-// dualDriver applies an op script to one engine and records its firings.
+// dualDriver applies an op script to one engine — the production Engine
+// or a reference model — and records its firings.
 type dualDriver struct {
-	e       *Engine
+	e       scheduler
 	fired   []firing
 	live    []EventID
 	liveTag []int
@@ -86,7 +88,19 @@ func (d *dualDriver) OnEvent(now Time, arg EventArg) {
 }
 
 func (d *dualDriver) schedule(delay time.Duration) {
-	id := d.e.AfterSink(delay, d, EventArg{U64: uint64(d.nextTag)})
+	d.track(d.e.AfterSink(delay, d, EventArg{U64: uint64(d.nextTag)}))
+}
+
+// scheduleFrom schedules delay after now with its tie-breaking origin
+// drawn from [0, now] by pick — the sharded runtime's deferred hand-off
+// (AtSinkFrom).
+func (d *dualDriver) scheduleFrom(delay time.Duration, pick int) {
+	now := d.e.Now()
+	origin := Time(uint64(pick) % uint64(now+1))
+	d.track(d.e.AtSinkFrom(origin, now.Add(delay), d, EventArg{U64: uint64(d.nextTag)}))
+}
+
+func (d *dualDriver) track(id EventID) {
 	d.live = append(d.live, id)
 	d.liveTag = append(d.liveTag, d.nextTag)
 	d.nextTag++
@@ -143,6 +157,8 @@ func (d *dualDriver) apply(op dualOp) {
 			d.liveTag = append(d.liveTag[:i], d.liveTag[i+1:]...)
 			d.schedule(op.delay)
 		}
+	case 6:
+		d.scheduleFrom(op.delay, op.pick)
 	}
 }
 
@@ -220,6 +236,69 @@ func TestWheelHeapIdenticalAcrossReset(t *testing.T) {
 	}
 }
 
+// genDeferredOps is genOps with half of its schedules made
+// deferred-origin (kind 6): each takes a tie-breaking origin anywhere in
+// [0, now], as the sharded runtime's cross-shard hand-offs do. An origin
+// before an already-queued same-deadline event's must fire ahead of it,
+// which drives the wheel's keyed level-0 insert (push) and the per-event
+// fallback of a level-0 cascade run (cascadeChain).
+func genDeferredOps(rng *rand.Rand, n int) []dualOp {
+	ops := genOps(rng, n)
+	for i := range ops {
+		if ops[i].kind == 0 && rng.Intn(2) == 0 {
+			ops[i].kind = 6
+		}
+	}
+	return ops
+}
+
+// TestWheelDeferredOriginDifferential runs deferred-origin scripts op by
+// op on the production engine, the legacy per-event-cascade wheel and the
+// reference heap: clocks, pending counts and the complete firing sequence
+// must agree, and the production wheel must have taken the keyed
+// per-event cascade fallback (its only source of cascadePushes).
+func TestWheelDeferredOriginDifferential(t *testing.T) {
+	seeds := 30
+	if testing.Short() {
+		seeds = 8
+	}
+	fallbacks := uint64(0)
+	for seed := 0; seed < seeds; seed++ {
+		ops := genDeferredOps(rand.New(rand.NewSource(int64(3000+seed))), 1500)
+		prod := NewEngine()
+		runs := []*dualDriver{{e: prod}, {e: newLegacyCascadeEngine()}, {e: newHeapEngine()}}
+		heapD := runs[2]
+		for i, op := range ops {
+			for _, d := range runs {
+				d.apply(op)
+			}
+			for _, d := range runs[:2] {
+				if d.e.Now() != heapD.e.Now() || d.e.Pending() != heapD.e.Pending() {
+					t.Fatalf("seed %d op %d: %T at %v with %d pending, heap at %v with %d",
+						seed, i, d.e, d.e.Now(), d.e.Pending(), heapD.e.Now(), heapD.e.Pending())
+				}
+			}
+		}
+		for _, d := range runs {
+			d.e.Run()
+		}
+		for _, d := range runs[:2] {
+			if len(d.fired) != len(heapD.fired) {
+				t.Fatalf("seed %d: %T fired %d events, heap %d", seed, d.e, len(d.fired), len(heapD.fired))
+			}
+			for i := range heapD.fired {
+				if d.fired[i] != heapD.fired[i] {
+					t.Fatalf("seed %d: firing %d diverges: %T %+v heap %+v", seed, i, d.e, d.fired[i], heapD.fired[i])
+				}
+			}
+		}
+		fallbacks += prod.queue.cascadePushes
+	}
+	if fallbacks == 0 {
+		t.Fatal("no level-0 cascade run needed the keyed fallback — script not exercising deferred origins")
+	}
+}
+
 // TestWheelDeepDeadlines pins placement and cascading for deadlines that
 // land on the wheel's top levels: hour-scale and day-scale deltas (the
 // hour-long preset regime) interleaved with nanosecond traffic.
@@ -227,11 +306,11 @@ func TestWheelDeepDeadlines(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	rec := func(now Time) { got = append(got, now) }
-	e.After(24*time.Hour, rec)
-	e.After(time.Nanosecond, rec)
-	e.After(time.Hour, rec)
-	e.After(3*time.Microsecond, rec)
-	e.After(time.Hour, rec) // same deep deadline: FIFO pair
+	after(e, 24*time.Hour, rec)
+	after(e, time.Nanosecond, rec)
+	after(e, time.Hour, rec)
+	after(e, 3*time.Microsecond, rec)
+	after(e, time.Hour, rec) // same deep deadline: FIFO pair
 	e.Run()
 	want := []Time{
 		Time(0).Add(time.Nanosecond),
@@ -258,8 +337,10 @@ func TestWheelDeepDeadlines(t *testing.T) {
 // mostly µs-scale per-request timers churning over a standing population
 // spread across a wide horizon (in-flight requests, hiccups, run-end
 // timers). The population is what separates the queues: the heap pays
-// O(log n) per operation, the wheel O(1) amortized.
-func pendingBench(b *testing.B, e *Engine, n int) {
+// O(log n) per operation, the wheel O(1) amortized. The timed loop calls
+// the concrete engine type, so neither side pays a dispatch the other
+// does not.
+func pendingBench(b *testing.B, e scheduler, n int) {
 	b.Helper()
 	s := &countSink{}
 	// Mean inter-deadline spacing of 1µs at any population keeps the
@@ -284,9 +365,17 @@ func pendingBench(b *testing.B, e *Engine, n int) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-		e.AfterSink(delta(), s, EventArg{U64: 1})
+	switch e := e.(type) {
+	case *Engine:
+		for i := 0; i < b.N; i++ {
+			e.Step()
+			e.AfterSink(delta(), s, EventArg{U64: 1})
+		}
+	case *refEngine:
+		for i := 0; i < b.N; i++ {
+			e.Step()
+			e.AfterSink(delta(), s, EventArg{U64: 1})
+		}
 	}
 	b.StopTimer()
 	if e.Pending() != n {
@@ -310,7 +399,7 @@ func BenchmarkEnginePending1M(b *testing.B)   { benchmarkEnginePending(b, 1_000_
 
 // measurePending times one steady-state schedule+fire at population n
 // via the benchmark harness and reports ns/op and bytes/op.
-func measurePending(newEngine func() *Engine, n int) (nsPerOp float64, bytesPerOp int64) {
+func measurePending[E scheduler](newEngine func() E, n int) (nsPerOp float64, bytesPerOp int64) {
 	res := testing.Benchmark(func(b *testing.B) { pendingBench(b, newEngine(), n) })
 	return float64(res.T.Nanoseconds()) / float64(res.N), res.AllocedBytesPerOp()
 }

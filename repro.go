@@ -96,11 +96,12 @@
 // whole request lifecycle — send timer, link delivery, tier job, response
 // delivery, receive — dispatches through typed event sinks on pooled
 // request objects instead of allocating closures. A generator reuses one
-// engine and request free list across its runs. Net effect, measured on
-// the synthetic reference path (BenchmarkRequestPathAllocs): ~15 → ~0.01
-// heap allocations and ~2.0µs → ~1.1µs of host CPU per simulated request,
-// which is what makes hour-long virtual runs and million-QPS scenarios
-// affordable. Pooling is invisible to results: free lists are
+// engine and request free list across its runs. Measured on the synthetic
+// reference path (BenchmarkRequestPathAllocs/typed, 100 ms runs at 200K
+// QPS), a simulated request costs ~0.012 heap allocations, all of them
+// amortized per-run setup; TestRequestPathAllocReduction gates it at
+// ≤ 0.2. That is what makes hour-long virtual runs and million-QPS
+// scenarios affordable. Pooling is invisible to results: free lists are
 // deterministic LIFO structures owned by a single-clocked engine, so the
 // byte-identical guarantee above is unchanged. Profile the hot path with
 // "make profile".
@@ -116,14 +117,15 @@
 // (BenchmarkEnginePending, steady-state schedule+fire, 0 B/op both):
 // ~195 → ~57 ns at 1k pending, ~304 → ~94 ns at 100k, ~420 → ~126 ns at
 // 1M — flat for the wheel, growing for the heap. Firing order is exactly
-// (deadline, seq), byte-identical to the heap; differential random
-// schedules (internal/sim/wheel_test.go) and every figure golden pin it.
-// Deep-horizon schedules (phase-program bursts, hour-long timers) that
-// cascade whole buckets down the levels splice maximal same-slot runs
-// with O(1) pointer moves instead of re-pushing events one by one
-// (cascade hysteresis, wheel.go): ~1.6× on the dense-deep-horizon
-// cascade benchmark with the firing order — and the 1k/100k-pending
-// gates — unchanged (TestWheelCascadeHysteresisFaster).
+// (deadline, origin, seq), byte-identical to the heap, which survives as
+// a test-only reference (internal/sim/reference_test.go); differential
+// random schedules (internal/sim/wheel_test.go) and every figure golden
+// pin it. Deep-horizon schedules (phase-program bursts, hour-long timers)
+// that cascade whole buckets down the levels splice maximal same-slot
+// runs with O(1) pointer moves instead of re-pushing events one by one
+// (wheel.go cascadeChain): ~1.6× on the dense-deep-horizon cascade
+// benchmark with the firing order — and the 1k/100k-pending gates —
+// unchanged (TestWheelCascadeHysteresisFaster).
 // The Memcached request path is additionally allocation-free end to end:
 // ETC keys are interned in a shared table (workload.ETCKeys), request
 // bodies travel inline in pooled requests instead of boxed payloads, and
