@@ -65,8 +65,9 @@ type Core struct {
 	// Sleep) from the initial boot idle, which must not pollute the
 	// governor's history or the wake statistics.
 	viaSleep bool
-	// state is the C-state currently occupied while idle.
-	state CState
+	// stateIdx indexes SkylakeCStates: the C-state currently occupied
+	// while idle.
+	stateIdx int
 	// idleSince is when the core last went idle.
 	idleSince sim.Time
 	// busyUntil is the end of the latest scheduled work.
@@ -88,7 +89,7 @@ type Core struct {
 	busySnapshot time.Duration
 
 	// Statistics.
-	wakeCount   map[string]int
+	wakeCount   [len(skylakeCStates)]int // wakes by C-state index
 	totalIdle   time.Duration
 	totalBusy   time.Duration
 	weightedPow float64 // idle time × relative power, for energy reports
@@ -110,15 +111,30 @@ func (c *Core) CurrentCState() string {
 	if !c.idle {
 		return "C0"
 	}
-	return c.state.Name
+	return skylakeCStates[c.stateIdx].Name
 }
 
 // BusyUntil returns the completion instant of the core's latest work.
 func (c *Core) BusyUntil() sim.Time { return c.busyUntil }
 
 // WakeCounts returns per-C-state wake counts accumulated since the last
-// run reset. The returned map is live; callers must not modify it.
-func (c *Core) WakeCounts() map[string]int { return c.wakeCount }
+// run reset, keyed by state name and holding only the states woken from
+// at least once. The map is built on each call.
+func (c *Core) WakeCounts() map[string]int {
+	out := make(map[string]int)
+	c.addWakeCounts(out)
+	return out
+}
+
+// addWakeCounts adds the core's non-zero wake counts into out by state
+// name.
+func (c *Core) addWakeCounts(out map[string]int) {
+	for i, n := range c.wakeCount {
+		if n != 0 {
+			out[skylakeCStates[i].Name] += n
+		}
+	}
+}
 
 // nextTickIn returns the distance to the next periodic tick, or 0 on
 // tickless kernels.
@@ -157,7 +173,7 @@ func (c *Core) Sleep(now sim.Time, timerHint time.Duration) {
 	c.idle = true
 	c.viaSleep = true
 	c.idleSince = now
-	c.state = c.gov.choose(timerHint, c.nextTickIn(now), c.loadEWMA)
+	c.stateIdx = c.gov.choose(timerHint, c.nextTickIn(now), c.loadEWMA)
 	c.machine.noteCoreIdle(now)
 }
 
@@ -169,7 +185,7 @@ func (c *Core) WakeLatency(now sim.Time) time.Duration {
 	if !c.idle {
 		return 0
 	}
-	lat := time.Duration(float64(c.state.ExitLatency) * c.machine.wakeScale)
+	lat := time.Duration(float64(skylakeCStates[c.stateIdx].ExitLatency) * c.machine.wakeScale)
 	lat += c.machine.uncoreWakePenalty(now)
 	return lat
 }
@@ -188,8 +204,8 @@ func (c *Core) Wake(now sim.Time) sim.Time {
 	if c.viaSleep {
 		c.gov.record(idleDur)
 		c.totalIdle += idleDur
-		c.weightedPow += idleDur.Seconds() * c.state.RelativePower
-		c.wakeCount[c.state.Name]++
+		c.weightedPow += idleDur.Seconds() * skylakeCStates[c.stateIdx].RelativePower
+		c.wakeCount[c.stateIdx]++
 		if c.machine.recordIdleGaps {
 			c.idleGaps = append(c.idleGaps, idleDur)
 		}
@@ -205,7 +221,7 @@ func (c *Core) Wake(now sim.Time) sim.Time {
 	// Under a powersave governor the core restarts at minimum frequency
 	// and ramps; under performance it is already at full speed. A wake
 	// from C0 (poll) keeps the frequency hot.
-	if c.machine.cfg.Governor == GovernorPowersave && c.state.Name != "C0" {
+	if c.machine.cfg.Governor == GovernorPowersave && c.stateIdx != 0 {
 		c.rampDone = ready.Add(time.Duration(float64(DVFSRampLatency) * c.machine.wakeScale))
 	} else {
 		c.rampDone = ready

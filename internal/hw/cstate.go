@@ -22,7 +22,11 @@ type CState struct {
 }
 
 // SkylakeCStates is the platform C-state table, shallowest first.
-var SkylakeCStates = []CState{
+var SkylakeCStates = skylakeCStates[:]
+
+// skylakeCStates backs SkylakeCStates. A core names its C-state by index
+// into it, and its length sizes the per-core wake counters.
+var skylakeCStates = [...]CState{
 	{Name: "C0", ExitLatency: 0, TargetResidency: 0, RelativePower: 1.00},
 	{Name: "C1", ExitLatency: 2 * time.Microsecond, TargetResidency: 2 * time.Microsecond, RelativePower: 0.30},
 	{Name: "C1E", ExitLatency: 10 * time.Microsecond, TargetResidency: 20 * time.Microsecond, RelativePower: 0.15},
@@ -159,11 +163,13 @@ func (g *idleGovernor) typicalIdle() (time.Duration, bool) {
 // a loaded CPU should not pay long exit latencies).
 const menuLoadThreshold = 0.42
 
-// choose picks the C-state for an idle period. timerHint is the time until
-// the next known deadline (0 means no deadline is known). tickBound caps
-// the prediction on non-tickless kernels, where the periodic tick will end
-// the idle period regardless. load is the core's recent busy fraction.
-func (g *idleGovernor) choose(timerHint, tickBound time.Duration, load float64) CState {
+// choose picks the C-state for an idle period and returns its index into
+// the governor's states, which is also its index into SkylakeCStates.
+// timerHint is the time until the next known deadline (0 means no
+// deadline is known). tickBound caps the prediction on non-tickless
+// kernels, where the periodic tick will end the idle period regardless.
+// load is the core's recent busy fraction.
+func (g *idleGovernor) choose(timerHint, tickBound time.Duration, load float64) int {
 	if g.ladder {
 		// The ladder ignores timer hints; only the periodic tick bounds it
 		// (no point entering a state whose residency exceeds the tick).
@@ -171,7 +177,7 @@ func (g *idleGovernor) choose(timerHint, tickBound time.Duration, load float64) 
 		for d > 0 && tickBound > 0 && g.states[d].TargetResidency > tickBound {
 			d--
 		}
-		return g.states[d]
+		return d
 	}
 	predicted := time.Duration(1<<62 - 1)
 	if timerHint > 0 {
@@ -192,10 +198,10 @@ func (g *idleGovernor) choose(timerHint, tickBound time.Duration, load float64) 
 	if load > menuLoadThreshold {
 		residencyScale = 2
 	}
-	best := g.states[0]
-	for _, s := range g.states[1:] {
-		if s.TargetResidency*residencyScale <= predicted {
-			best = s
+	best := 0
+	for i := 1; i < len(g.states); i++ {
+		if g.states[i].TargetResidency*residencyScale <= predicted {
+			best = i
 		}
 	}
 	return best

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -411,8 +412,15 @@ func TestWakeRecordsStatistics(t *testing.T) {
 	if full := time.Duration(now).Seconds() * float64(m.NumThreads()); e >= full {
 		t.Errorf("energy %v not below always-on %v despite C-state residency", e, full)
 	}
-	if len(m.IdleDistribution()) == 0 {
-		t.Error("idle distribution empty after wakes")
+	// Only states woken from are listed, and on a one-core machine the
+	// machine-wide distribution is the core's.
+	for s, n := range c.WakeCounts() {
+		if n <= 0 {
+			t.Errorf("state %s listed with %d wakes", s, n)
+		}
+	}
+	if got, want := m.IdleDistribution(), c.WakeCounts(); len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("idle distribution %v, want the core's wake counts %v", got, want)
 	}
 }
 

@@ -72,8 +72,7 @@ func NewMachine(name string, physicalCores int, cfg Config) (*Machine, error) {
 			id:           i,
 			gov:          newIdleGovernor(cfg.MaxCState, !cfg.Tickless),
 			idle:         true,
-			state:        SkylakeCStates[0], // boot in C0-poll until first sleep decision
-			wakeCount:    make(map[string]int),
+			stateIdx:     0, // boot in C0-poll until first sleep decision
 			epochFreqGHz: cfg.MinFreqGHz,
 		}
 	}
@@ -128,11 +127,11 @@ func (m *Machine) ResetRun(stream *rng.Stream) {
 		c.gov = newIdleGovernor(m.cfg.MaxCState, !m.cfg.Tickless)
 		c.idle = true
 		c.viaSleep = false
-		c.state = SkylakeCStates[0]
+		c.stateIdx = 0
 		c.idleSince = 0
 		c.busyUntil = 0
 		c.rampDone = 0
-		c.wakeCount = make(map[string]int)
+		c.wakeCount = [len(skylakeCStates)]int{}
 		c.totalIdle = 0
 		c.totalBusy = 0
 		c.weightedPow = 0
@@ -212,9 +211,7 @@ func (m *Machine) EnergyProxy(runLength time.Duration) float64 {
 func (m *Machine) IdleDistribution() map[string]int {
 	out := make(map[string]int)
 	for _, c := range m.cores {
-		for s, n := range c.wakeCount {
-			out[s] += n
-		}
+		c.addWakeCounts(out)
 	}
 	return out
 }

@@ -16,7 +16,6 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrRankRange reports a write to a rank outside the snapshot's key
@@ -83,10 +82,10 @@ type slot struct {
 	gen  uint32
 }
 
-// Fork is a mutable overlay over an immutable Snapshot. It is safe for
-// concurrent use, though the intended deployment is one fork per
-// experiment environment (a single sim-engine goroutine) with only the
-// shared base read concurrently.
+// Fork is a mutable overlay over an immutable Snapshot. A Fork is not
+// safe for concurrent use; the Snapshot is. Each fork belongs to one
+// backend driven by one sim-engine goroutine, so sibling forks on
+// different goroutines share only the read-only base.
 //
 // The key space is fixed (a write outside it is an error, a read outside
 // it a miss), and there is no eviction and no TTL. The hit and miss
@@ -94,7 +93,6 @@ type slot struct {
 // changes, not counters, as a memcached server's counters persist
 // across experiment runs.
 type Fork struct {
-	mu    sync.Mutex
 	base  *Snapshot
 	slots []slot // one per rank
 	gen   uint32 // current generation; never 0, so zeroed slots are dead
@@ -110,8 +108,6 @@ func (f *Fork) Base() *Snapshot { return f.base }
 // counting a hit, or reports false and counts a miss when rank is
 // outside the key space.
 func (f *Fork) ValueSize(rank int) (int, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if uint(rank) >= uint(len(f.base.sizes)) {
 		f.misses++
 		return 0, false
@@ -128,8 +124,6 @@ func (f *Fork) Set(rank, size int) error {
 	if err := checkSize(size); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if uint(rank) >= uint(len(f.base.sizes)) {
 		return fmt.Errorf("%w: rank %d of %d", ErrRankRange, rank, len(f.base.sizes))
 	}
@@ -143,15 +137,11 @@ func (f *Fork) Set(rank, size int) error {
 
 // Dirty returns the number of ranks written since the last Reset.
 func (f *Fork) Dirty() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.dirty
 }
 
 // Stats returns the fork's hit and miss counters.
 func (f *Fork) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return Stats{Hits: f.hits, Misses: f.misses}
 }
 
@@ -161,8 +151,6 @@ func (f *Fork) Stats() Stats {
 // written 2^32 resets ago can never come back to life. Counters are not
 // cleared (they are lifetime statistics).
 func (f *Fork) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.gen++
 	if f.gen == 0 {
 		clear(f.slots)

@@ -244,19 +244,35 @@ func (s *Stream) Poisson(mean float64) int {
 // built once per distinct (n, alpha) and kept, immutable, for the life of the
 // process, so every sampler over the same ranks reads the same memory. A
 // Zipf holds only that table and its caller's stream; draws are O(1)
-// expected through the table's guide.
+// expected through the table's guides.
 type Zipf struct {
 	t *zipfTable
 	s *Stream
 }
 
+// zipfHeadRanks is the number of most popular ranks a large table's head
+// guide covers. At the ETC key space (n = 100 000, α = 0.99) they take
+// about 72% of draws, and their CDF entries and guide fit in 48 KB.
+const zipfHeadRanks = 4096
+
 // zipfTable is the immutable rank table of one (n, alpha). cdf[i] is the
 // probability of a rank ≤ i. guide[j], for j in [0, len(cdf)], is the
 // smallest i with cdf[i] >= j/len(cdf), so a uniform u falls in bucket
 // j = ⌊u·len(cdf)⌋ and its rank is near [guide[j], guide[j+1]].
+//
+// A table over more than 2·zipfHeadRanks ranks also has a head guide:
+// the same construction over the first zipfHeadRanks ranks, with
+// zipfHeadRanks buckets scaled to [0, headMax], where headMax is
+// cdf[zipfHeadRanks-1]. A u ≤ headMax (most draws, for the skewed tables this simulator uses)
+// then reads only the head's cache-resident CDF entries and guide instead
+// of two cold reads into the full-size arrays.
 type zipfTable struct {
 	cdf   []float64
 	guide []int32
+
+	headMax   float64 // cdf[zipfHeadRanks-1], or -1 without a head guide
+	headScale float64 // zipfHeadRanks / headMax
+	headGuide []int32
 }
 
 type zipfKey struct {
@@ -302,19 +318,32 @@ func newZipfTable(n int, alpha float64) *zipfTable {
 	return newGuidedTable(cdf)
 }
 
-// newGuidedTable wraps a non-decreasing CDF that ends at 1 with its guide.
+// newGuidedTable wraps a non-decreasing CDF that ends at 1 with its
+// guides.
 func newGuidedTable(cdf []float64) *zipfTable {
-	n := len(cdf)
-	guide := make([]int32, n+1)
+	t := &zipfTable{cdf: cdf, guide: buildGuide(cdf, len(cdf), 1), headMax: -1}
+	if len(cdf) > 2*zipfHeadRanks {
+		t.headMax = cdf[zipfHeadRanks-1]
+		t.headScale = zipfHeadRanks / t.headMax
+		t.headGuide = buildGuide(cdf[:zipfHeadRanks], zipfHeadRanks, t.headMax)
+	}
+	return t
+}
+
+// buildGuide returns a guide over `buckets` equal-width buckets of
+// [0, top]: entry j is the smallest i with cdf[i] >= j·top/buckets, or
+// the last index when there is none.
+func buildGuide(cdf []float64, buckets int, top float64) []int32 {
+	guide := make([]int32, buckets+1)
 	i := 0
 	for j := range guide {
-		edge := float64(j) / float64(n)
-		for i < n-1 && cdf[i] < edge {
+		edge := float64(j) / float64(buckets) * top
+		for i < len(cdf)-1 && cdf[i] < edge {
 			i++
 		}
 		guide[j] = int32(i)
 	}
-	return &zipfTable{cdf: cdf, guide: guide}
+	return guide
 }
 
 // Draw returns the next rank.
@@ -323,19 +352,31 @@ func (z *Zipf) Draw() int {
 }
 
 // rank returns the smallest i with cdf[i] >= u, or the last rank if there is
-// none: the rank a lower-bound search over the whole CDF returns. The guide
-// bounds the search to u's bucket; the two loops widen that range until
-// cdf[lo-1] < u <= cdf[hi] (or hi is the last rank). Rounding in u·n and in
-// the bucket edges can otherwise put u a rank outside its bucket, as can a
-// u above 1 when the CDF reaches 1 before the last rank. The search inside
-// the range then finds the same rank the full search would.
+// none: the rank a lower-bound search over the whole CDF returns. A guide —
+// the head guide for u ≤ headMax, the full one otherwise — gives a starting
+// range from u's bucket; the two loops widen that range until
+// cdf[lo-1] < u <= cdf[hi] (or hi is the last rank). Rounding in the bucket
+// index and in the bucket edges can otherwise put u a rank outside its
+// bucket, as can a u above 1 when the CDF reaches 1 before the last rank.
+// Because the widened range always brackets the answer, any starting range
+// is exact, and the search inside it finds the same rank the full search
+// would.
 func (t *zipfTable) rank(u float64) int {
 	last := len(t.cdf) - 1
-	j := int(u * float64(len(t.cdf)))
-	if j > last {
-		j = last
+	var lo, hi int
+	if u <= t.headMax {
+		j := int(u * t.headScale)
+		if j >= zipfHeadRanks {
+			j = zipfHeadRanks - 1
+		}
+		lo, hi = int(t.headGuide[j]), int(t.headGuide[j+1])
+	} else {
+		j := int(u * float64(len(t.cdf)))
+		if j > last {
+			j = last
+		}
+		lo, hi = int(t.guide[j]), int(t.guide[j+1])
 	}
-	lo, hi := int(t.guide[j]), int(t.guide[j+1])
 	for lo > 0 && t.cdf[lo-1] >= u {
 		lo--
 	}

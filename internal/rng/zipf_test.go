@@ -24,20 +24,40 @@ func fullSearchRank(cdf []float64, u float64) int {
 	return lo
 }
 
+// TestZipfGuidedRankMatchesFullSearch checks every CDF value and its
+// neighbours, random draws, and the fixed points where the guides meet or
+// end — 0, the head guide's top headMax and its neighbours, and the
+// largest Float64 — for sizes on both sides of the head-guide threshold
+// (n > 2·zipfHeadRanks) and exponents from flat to steep.
 func TestZipfGuidedRankMatchesFullSearch(t *testing.T) {
 	randomU := 1000000
 	if testing.Short() {
 		randomU = 100000
 	}
-	for _, n := range []int{1, 2, 3, 1000, 100000} {
-		for _, alpha := range []float64{0.5, 0.8, 0.99, 1.0, 2.0} {
+	for _, n := range []int{1, 2, 3, 1000, 2 * zipfHeadRanks, 2*zipfHeadRanks + 1, 100000} {
+		for _, alpha := range []float64{0.5, 0.8, 0.99, 1.0, 1.5, 2.0, 3.0} {
 			tab := NewZipf(New(1), n, alpha).t
+			if hasHead := tab.headGuide != nil; hasHead != (n > 2*zipfHeadRanks) {
+				t.Fatalf("n=%d alpha=%v: head guide present %v", n, alpha, hasHead)
+			}
 			check := func(u float64) {
 				if got, want := tab.rank(u), fullSearchRank(tab.cdf, u); got != want {
 					t.Fatalf("n=%d alpha=%v u=%v: guided rank %d, full search %d", n, alpha, u, got, want)
 				}
 			}
 			check(0)
+			check(1 - 0x1p-53) // the largest Float64
+			if tab.headGuide != nil {
+				check(tab.headMax)
+				check(math.Nextafter(tab.headMax, math.Inf(-1)))
+				check(math.Nextafter(tab.headMax, math.Inf(1)))
+				for j := 0; j <= zipfHeadRanks; j++ {
+					edge := float64(j) / zipfHeadRanks * tab.headMax
+					check(edge)
+					check(math.Nextafter(edge, math.Inf(-1)))
+					check(math.Nextafter(edge, math.Inf(1)))
+				}
+			}
 			for _, c := range tab.cdf {
 				check(c)
 				check(math.Nextafter(c, math.Inf(-1)))
@@ -157,6 +177,7 @@ func TestZipfTableShared(t *testing.T) {
 
 	cdf := append([]float64(nil), tab.cdf...)
 	guide := append([]int32(nil), tab.guide...)
+	headGuide := append([]int32(nil), tab.headGuide...)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(z *Zipf) {
@@ -170,7 +191,8 @@ func TestZipfTableShared(t *testing.T) {
 		}(samplers[w])
 	}
 	wg.Wait()
-	if !reflect.DeepEqual(tab.cdf, cdf) || !reflect.DeepEqual(tab.guide, guide) {
+	if !reflect.DeepEqual(tab.cdf, cdf) || !reflect.DeepEqual(tab.guide, guide) ||
+		!reflect.DeepEqual(tab.headGuide, headGuide) {
 		t.Error("drawing modified the shared table")
 	}
 

@@ -118,9 +118,7 @@ func (w *legacyWheel) pop() *event {
 		head := b.head
 		b.head, b.tail = nil, nil
 		w.clearSlot(l, slot)
-		shift := uint(l * wheelBits)
-		high := uint64(w.cursor) &^ (uint64(1)<<(shift+wheelBits) - 1)
-		w.cursor = Time(high | uint64(slot)<<shift)
+		w.cursor = w.bucketStart(l, slot)
 		w.cascades++
 		for ev := head; ev != nil; {
 			next := ev.next
@@ -261,6 +259,19 @@ func (e *refEngine) RunUntil(limit Time) {
 	}
 }
 
+func (e *refEngine) RunBefore(limit Time) {
+	for {
+		d, ok := e.queue.minDeadline()
+		if !ok || d >= limit {
+			break
+		}
+		e.Step()
+	}
+	if e.now < limit {
+		e.now = limit
+	}
+}
+
 // scheduler is the engine surface the differential tests and timing
 // gates use; the production *Engine and the *refEngine model both
 // implement it.
@@ -273,5 +284,6 @@ type scheduler interface {
 	Step() bool
 	Run()
 	RunUntil(limit Time)
+	RunBefore(limit Time)
 	Reset()
 }

@@ -274,8 +274,12 @@ func (e *Engine) Cancel(id EventID) {
 // recycled before its callback runs, so handlers scheduling new events
 // reuse the slot immediately; the fired event's ID is already stale by
 // the time the callback observes anything.
-func (e *Engine) Step() bool {
-	ev := e.queue.pop()
+func (e *Engine) Step() bool { return e.stepUntil(Infinity) }
+
+// stepUntil executes the earliest pending event if its deadline is ≤
+// limit, as Step does, and reports whether it fired one.
+func (e *Engine) stepUntil(limit Time) bool {
+	ev := e.queue.popUntil(limit)
 	if ev == nil {
 		return false
 	}
@@ -294,14 +298,11 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with deadlines ≤ limit, then advances the clock
-// to limit. Events scheduled beyond limit remain queued.
+// to limit. Events scheduled beyond limit remain queued. Each fired event
+// costs one bounded wheel search (wheel.popUntil), which stops at the
+// first pending deadline past limit.
 func (e *Engine) RunUntil(limit Time) {
-	for {
-		d, ok := e.queue.minDeadline()
-		if !ok || d > limit {
-			break
-		}
-		e.Step()
+	for e.stepUntil(limit) {
 	}
 	if e.now < limit {
 		e.now = limit
@@ -309,18 +310,14 @@ func (e *Engine) RunUntil(limit Time) {
 }
 
 // RunBefore executes events with deadlines strictly earlier than limit,
-// then advances the clock to limit. It is the epoch primitive of the
-// sharded runtime (shard.go): a shard granted the window [now, limit)
-// fires exactly the events it owns inside it, and stops with its clock
-// parked on the barrier instant so cross-shard events arriving *at*
-// limit are still schedulable.
+// then advances the clock to limit: RunUntil(limit) with the bound one
+// tick lower. It is the epoch primitive of the sharded runtime
+// (shard.go): a shard granted the window [now, limit) fires exactly the
+// events it owns inside it, and stops with its clock parked on the
+// barrier instant so cross-shard events arriving *at* limit are still
+// schedulable.
 func (e *Engine) RunBefore(limit Time) {
-	for {
-		d, ok := e.queue.minDeadline()
-		if !ok || d >= limit {
-			break
-		}
-		e.Step()
+	for e.stepUntil(limit - 1) {
 	}
 	if e.now < limit {
 		e.now = limit

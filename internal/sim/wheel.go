@@ -33,11 +33,20 @@ import "math/bits"
 // # Operation costs
 //
 // push and cancel are O(1): a chain append/unlink plus a bitmap update.
-// pop finds the lowest occupied slot of the lowest occupied level; if
-// that level is 0 the bucket's head is the minimum and pop is O(1). If
-// not, the bucket is cascaded — its chain is re-pushed against the
-// cursor advanced to the bucket's start, landing every event at a
-// strictly lower level — and the search repeats. Each event cascades at
+// popUntil(limit) is the only pop: it fires the earliest event if that
+// event is due by limit, so the run loops pay one bounded search per
+// fired event instead of a peek followed by a pop. It finds the lowest
+// occupied slot of the lowest occupied level in two TrailingZeros. At
+// level 0 the bucket's head is the minimum and the pop is O(1). Above
+// level 0 a bucket holding a single event holds the unique minimum, and
+// popUntil takes it in place, also O(1) — the common case at open-loop
+// rates, where the earliest pending event is often microseconds away and
+// alone in its bucket. Any other bucket is cascaded: its chain is
+// re-pushed against the cursor advanced to the bucket's start, landing
+// every event at a strictly lower level, and the search repeats. A
+// bucket is cascaded only when its start instant is ≤ limit, so a
+// bounded pop never moves the cursor past the limit, and the run loops
+// leave the engine clock at or after the limit. Each event cascades at
 // most wheelLevels-1 times over its life regardless of the pending
 // population, so schedule/fire is O(1) amortized where a binary heap
 // pays O(log n) per operation with cache-hostile pointer chasing.
@@ -52,10 +61,10 @@ import "math/bits"
 //     bucket choice is a function of (deadline, cursor), and the cursor
 //     moves monotonically between pops, so equal deadlines can never be
 //     split across buckets at the moment either is placed.
-//   - Buckets above level 0 append in push order, exactly as before —
-//     their internal order never reaches pop directly, because a
-//     higher-level bucket is always cascaded first. A level-0 bucket
-//     holds a single deadline value and is what pop drains, so level-0
+//   - Buckets above level 0 append in push order — their internal order
+//     never reaches a pop, because a higher-level bucket is cascaded
+//     first unless it holds a single event. A level-0 bucket holds a
+//     single deadline value and is what popUntil drains, so level-0
 //     pushes insert in (at, seq) order, walking back from the tail. For
 //     events scheduled "as of now" — every event outside the sharded
 //     runtime's deferred hand-offs — the key is non-decreasing in push
@@ -107,12 +116,13 @@ type wheelBucket struct {
 // level-0 runs fall back to keyed per-event pushes whenever splicing
 // could violate a drain bucket's (at, seq) order (see cascadeChain).
 //
-// The cascade* counters are instrumentation for tests and benchmarks
-// (they never influence behavior): cascades counts bucket splits,
-// cascadeEvents chain events walked, cascadeRuns wholesale splices, and
-// cascadePushes events re-pushed individually.
+// The counters are instrumentation for tests and benchmarks (they never
+// influence behavior): cascades counts bucket splits, cascadeEvents chain
+// events walked, cascadeRuns wholesale splices, cascadePushes events
+// re-pushed individually, and lonePops events popped from above level 0
+// without a cascade.
 type wheel struct {
-	cursor    Time // deadline of the last popped event (or last cascade origin)
+	cursor    Time // deadline of the last popped event (or last cascade start)
 	count     int
 	levelMask uint16
 	occupied  [wheelLevels]uint64
@@ -122,6 +132,7 @@ type wheel struct {
 	cascadeEvents uint64
 	cascadeRuns   uint64
 	cascadePushes uint64
+	lonePops      uint64
 }
 
 // place returns the (level, slot) for deadline relative to the cursor.
@@ -180,22 +191,33 @@ func (w *wheel) push(ev *event) {
 	w.count++
 }
 
-func (w *wheel) pop() *event {
-	for {
-		if w.levelMask == 0 {
-			return nil
-		}
+// popUntil removes and returns the earliest pending event if its
+// deadline is ≤ limit, and returns nil otherwise: one bounded search per
+// fired event. It searches the lowest occupied slot of the lowest
+// occupied level. A level-0 bucket holds a single deadline in (at, seq)
+// order, so its head is the minimum. A higher-level bucket holding a
+// lone event holds the unique minimum (an equal deadline would share its
+// bucket), so that event is popped in place without a cascade. Any other
+// higher-level bucket is cascaded, but only when its start instant is ≤
+// limit: every deadline it holds is ≥ that instant, so a later bucket
+// cannot hold an event due by limit, and the cursor never passes limit.
+func (w *wheel) popUntil(limit Time) *event {
+	for w.levelMask != 0 {
 		l := bits.TrailingZeros16(w.levelMask)
 		slot := bits.TrailingZeros64(w.occupied[l])
 		b := &w.levels[l][slot]
-		if l == 0 {
-			// A level-0 bucket holds a single deadline in seq order:
-			// the head is the global minimum.
-			ev := b.head
+		ev := b.head
+		if l == 0 || ev == b.tail {
+			if ev.deadline > limit {
+				return nil
+			}
+			if l != 0 {
+				w.lonePops++
+			}
 			b.head = ev.next
 			if b.head == nil {
 				b.tail = nil
-				w.clearSlot(0, slot)
+				w.clearSlot(l, slot)
 			} else {
 				b.head.prev = nil
 			}
@@ -207,15 +229,25 @@ func (w *wheel) pop() *event {
 		// Cascade: advance the cursor to the bucket's start instant (≤
 		// every deadline it holds, > every deadline already fired) and
 		// redistribute the chain; each event lands at a level < l.
-		head := b.head
+		start := w.bucketStart(l, slot)
+		if start > limit {
+			return nil
+		}
 		b.head, b.tail = nil, nil
 		w.clearSlot(l, slot)
-		shift := uint(l * wheelBits)
-		high := uint64(w.cursor) &^ (uint64(1)<<(shift+wheelBits) - 1)
-		w.cursor = Time(high | uint64(slot)<<shift)
+		w.cursor = start
 		w.cascades++
-		w.cascadeChain(head)
+		w.cascadeChain(ev)
 	}
+	return nil
+}
+
+// bucketStart returns the first instant bucket (l, slot) covers: the
+// cursor's bits above level l, slot at level l, and zeros below.
+func (w *wheel) bucketStart(l, slot int) Time {
+	shift := uint(l * wheelBits)
+	high := uint64(w.cursor) &^ (uint64(1)<<(shift+wheelBits) - 1)
+	return Time(high | uint64(slot)<<shift)
 }
 
 // cascadeChain redistributes a cascading bucket's chain against the
@@ -316,9 +348,9 @@ func (w *wheel) clearSlot(l, slot int) {
 // minDeadline reports the earliest pending deadline without mutating the
 // wheel: the lowest occupied slot of the lowest occupied level bounds the
 // minimum, and for level 0 the bucket's single deadline is exact. For a
-// higher-level bucket the chain is scanned; that cost is paid at most
-// once per cascade (the subsequent pop moves the chain to lower levels),
-// so RunUntil's peek-then-step loop stays O(1) amortized.
+// higher-level bucket the chain is scanned. The run loops never call it
+// (popUntil bounds its own search); it serves NextDeadline, which the
+// sharded runtime calls once per shard per epoch.
 func (w *wheel) minDeadline() (Time, bool) {
 	if w.levelMask == 0 {
 		return 0, false

@@ -123,21 +123,75 @@ const logHistogramMinValue = 1e-9
 // (the documented error bound callers may rely on). Bucket i covers
 // (γ^(i−1), γ^i] with γ = (1+α)/(1−α) and reports the estimate
 // 2γ^i/(γ+1), the point with equal relative error to both bucket edges.
-// Negative samples land in a mirrored bucket map and magnitudes below
-// 1e-9 in a zero bucket, so the sketch accepts any float64 series.
+// Negative samples land in a mirrored set of buckets and magnitudes
+// below 1e-9 in a zero bucket, so the sketch accepts any float64 series;
+// an infinite magnitude counts in the bucket of the largest finite one.
 //
-// Memory is O(number of resident buckets) = O(log(max/min)/log γ),
-// independent of the sample count: the full 1 ns – 1000 s span at α=1%
-// needs under ~1400 buckets, which is what turns per-run measurement
-// memory from O(samples) into O(1).
+// Counters are dense: each sign keeps one slice spanning the bucket
+// indices seen so far, so Add is a slice increment. Memory is
+// O(index span) = O(log(max/min)/log γ), independent of the sample
+// count: the 1 ns – 1000 s span at α=1% needs under ~1400 counters, and
+// the whole float64 range at most ~37k per sign. That is what turns
+// per-run measurement memory from O(samples) into O(1).
 type LogHistogram struct {
 	alpha    float64
 	gamma    float64
 	invLogG  float64 // 1 / ln(γ)
 	estScale float64 // 2/(γ+1): estimate(i) = estScale · γ^i
-	pos, neg map[int]int
+	pos, neg denseCounts
 	zero     int
 	n        int
+}
+
+// denseCounts is a bucket-index-addressed counter array: counts[k]
+// counts bucket offset+k. It grows by doubling toward whichever end an
+// index falls outside, and tracks how many of its counters are non-zero.
+type denseCounts struct {
+	offset   int
+	counts   []int
+	resident int
+}
+
+// add adds c > 0 to bucket i.
+func (d *denseCounts) add(i, c int) {
+	k := i - d.offset
+	if k < 0 || k >= len(d.counts) {
+		d.grow(i)
+		k = i - d.offset
+	}
+	if d.counts[k] == 0 {
+		d.resident++
+	}
+	d.counts[k] += c
+}
+
+// grow widens the span to cover bucket i, at least doubling its length
+// so that repeated growth is amortized O(1).
+func (d *denseCounts) grow(i int) {
+	if d.counts == nil {
+		// A first span of 64 around the first index covers about a
+		// factor of two either side at α=1% before any growth.
+		d.offset, d.counts = i-32, make([]int, 64)
+		return
+	}
+	lo, end := d.offset, d.offset+len(d.counts)
+	n := max(2*len(d.counts), end-i, i+1-lo)
+	if i < lo {
+		// Growing downward: keep the old top, put the slack below.
+		lo = end - n
+	}
+	counts := make([]int, n)
+	copy(counts[d.offset-lo:], d.counts)
+	d.offset, d.counts = lo, counts
+}
+
+// merge adds every counter of o into d.
+func (d *denseCounts) merge(o *denseCounts) {
+	for k, c := range o.counts {
+		if c != 0 {
+			d.add(o.offset+k, c)
+		}
+	}
 }
 
 // NewLogHistogram returns an empty sketch with relative accuracy alpha
@@ -152,8 +206,6 @@ func NewLogHistogram(alpha float64) (*LogHistogram, error) {
 		gamma:    gamma,
 		invLogG:  1 / math.Log(gamma),
 		estScale: 2 / (gamma + 1),
-		pos:      make(map[int]int),
-		neg:      make(map[int]int),
 	}, nil
 }
 
@@ -161,9 +213,10 @@ func NewLogHistogram(alpha float64) (*LogHistogram, error) {
 func (h *LogHistogram) RelativeAccuracy() float64 { return h.alpha }
 
 // index returns the bucket for magnitude v > 0: the smallest i with
-// γ^i ≥ v, i.e. ⌈ln v / ln γ⌉.
+// γ^i ≥ v, i.e. ⌈ln v / ln γ⌉. An infinite v maps to the bucket of the
+// largest finite float64.
 func (h *LogHistogram) index(v float64) int {
-	return int(math.Ceil(math.Log(v) * h.invLogG))
+	return int(math.Ceil(math.Log(min(v, math.MaxFloat64)) * h.invLogG))
 }
 
 // estimate returns bucket i's representative value.
@@ -176,9 +229,9 @@ func (h *LogHistogram) Add(v float64) {
 	h.n++
 	switch {
 	case v > logHistogramMinValue:
-		h.pos[h.index(v)]++
+		h.pos.add(h.index(v), 1)
 	case v < -logHistogramMinValue:
-		h.neg[h.index(-v)]++
+		h.neg.add(h.index(-v), 1)
 	default:
 		h.zero++
 	}
@@ -198,21 +251,17 @@ func (h *LogHistogram) Merge(o *LogHistogram) error {
 	if o.alpha != h.alpha {
 		return fmt.Errorf("stats: cannot merge log histograms with accuracies %v and %v", h.alpha, o.alpha)
 	}
-	for k, c := range o.pos {
-		h.pos[k] += c
-	}
-	for k, c := range o.neg {
-		h.neg[k] += c
-	}
+	h.pos.merge(&o.pos)
+	h.neg.merge(&o.neg)
 	h.zero += o.zero
 	h.n += o.n
 	return nil
 }
 
-// Buckets returns the number of resident buckets — the sketch's memory
-// footprint in units of one counter, bounded by the dynamic range of
-// the data and independent of N.
-func (h *LogHistogram) Buckets() int { return len(h.pos) + len(h.neg) }
+// Buckets returns the number of resident (non-zero) buckets — the
+// sketch's occupancy in units of one counter, bounded by the dynamic
+// range of the data and independent of N.
+func (h *LogHistogram) Buckets() int { return h.pos.resident + h.neg.resident }
 
 // Quantile returns the estimate for the p-th percentile (p in [0,100])
 // of the recorded stream, within the sketch's relative error bound of
@@ -253,19 +302,6 @@ func (h *LogHistogram) Quantiles(ps ...float64) []float64 {
 	}
 	sort.Slice(targets, func(a, b int) bool { return targets[a].rank < targets[b].rank })
 
-	// Walk buckets in ascending value order: negatives (descending
-	// magnitude), zero, positives (ascending magnitude).
-	negKeys := make([]int, 0, len(h.neg))
-	for k := range h.neg {
-		negKeys = append(negKeys, k)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(negKeys)))
-	posKeys := make([]int, 0, len(h.pos))
-	for k := range h.pos {
-		posKeys = append(posKeys, k)
-	}
-	sort.Ints(posKeys)
-
 	ti := 0
 	cum := 0
 	advance := func(count int, value float64) {
@@ -275,12 +311,18 @@ func (h *LogHistogram) Quantiles(ps ...float64) []float64 {
 			ti++
 		}
 	}
-	for _, k := range negKeys {
-		advance(h.neg[k], -h.estimate(k))
+	// Walk buckets in ascending value order: negatives (descending
+	// magnitude), zero, positives (ascending magnitude).
+	for k := len(h.neg.counts) - 1; k >= 0; k-- {
+		if c := h.neg.counts[k]; c != 0 {
+			advance(c, -h.estimate(h.neg.offset+k))
+		}
 	}
 	advance(h.zero, 0)
-	for _, k := range posKeys {
-		advance(h.pos[k], h.estimate(k))
+	for k, c := range h.pos.counts {
+		if c != 0 {
+			advance(c, h.estimate(h.pos.offset+k))
+		}
 	}
 	return out
 }
